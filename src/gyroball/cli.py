@@ -245,23 +245,37 @@ def build_parser():
 
 _POINT_FLAGS = {"--u", "--v", "--a", "--b", "--c"}
 
+# A token that starts with "-" and a digit or "." is a point, not an option.
+_NEGATIVE_POINT = re.compile(r"-[\d.]")
+
 
 def _merge_point_flags(argv):
-    """Join point flags with values that start with a minus sign, which
-    argparse would otherwise read as options."""
+    """Keep points that start with a minus sign away from argparse, which
+    would read "-0.3,0.2" as an option: point flags are joined with their
+    value ("--u=-0.3,0.2"), and a bare point (the operand of ``convert``) is
+    moved behind "--", so it parses before or after the options."""
     if argv is None:
         argv = sys.argv[1:]
-    out = []
+    out, operands = [], []
     i = 0
     while i < len(argv):
         tok = argv[i]
+        if tok == "--":
+            operands += argv[i + 1:]
+            break
         if tok in _POINT_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
+            continue
+        prev = out[-1] if out else ""
+        # A value of an option such as "--dim -3" stays where it is.
+        is_value = prev.startswith("--") and "=" not in prev and prev != "--help"
+        if _NEGATIVE_POINT.match(tok) and not is_value:
+            operands.append(tok)
         else:
             out.append(tok)
-            i += 1
-    return out
+        i += 1
+    return out + ["--"] + operands if operands else out
 
 
 def main(argv=None) -> int:

@@ -51,11 +51,15 @@ class GyrogroupModel:
 
 
 def gyr_via_gyrator_identity(m: GyrogroupModel, a, b, c):
-    """gyr[a, b]c computed from additions alone.
+    """gyr[a, b]c computed from additions alone: the reference oracle.
 
-    Evaluated in extended precision: the outer addition cancels
-    catastrophically when a + b lands near the rim, costing up to ~1e-9 in
-    double precision, which would swamp the default tolerance.
+    Every registered model has a closed-form gyration, so this path serves
+    as the independent computation that the ``table1`` ``gyrator-identity``
+    property and the tests compare those closed forms against, and as the
+    fallback for models without one.  Evaluated in extended precision: the
+    outer addition cancels catastrophically when a + b lands near the rim,
+    costing up to ~1e-9 in double precision, which would swamp the default
+    tolerance.
     """
     a = np.asarray(a, dtype=np.longdouble)
     b = np.asarray(b, dtype=np.longdouble)

@@ -1,7 +1,7 @@
 """Einstein gyrogroup on the open unit ball.
 
-Gyrations have no closed form here and are always computed through the
-gyrator identity by the model layer.
+Gyrations are borrowed from the Mobius model: phi is radial and gyrations
+are orthogonal, so gyr_E[u, v] = gyr_M[phi_inv u, phi_inv v].
 """
 
 from dataclasses import dataclass, field
@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .mobius import mobius_gyr, phi_inv
 from .vectors import (
     arctanh_unchecked,
     atanh_guarded,
@@ -26,6 +27,11 @@ def einstein_add(u, v):
     ip = np.sum(u * v, axis=-1, keepdims=True)
     gamma = 1.0 / np.sqrt(1.0 - np.sum(u * u, axis=-1, keepdims=True))
     return (u + v / gamma + (gamma / (1.0 + gamma)) * ip * u) / (1.0 + ip)
+
+
+def einstein_gyr(u, v, w):
+    """Closed-form gyration gyr[u, v]w, through the isomorphism phi."""
+    return mobius_gyr(phi_inv(u), phi_inv(v), w)
 
 
 def gyronorm_E(v):

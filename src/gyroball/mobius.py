@@ -32,17 +32,45 @@ def phi(v):
 
 
 def phi_inv(w):
-    """Inverse of phi via the closed radical formula.
+    """Inverse of phi: w -> w / (1 + sqrt(1 - |w|^2)).
 
-    Near w = 0 the radical quotient degenerates to 0/0, so for |w| < 1e-8 the
-    series limit w/2 is used instead.
+    This is the radical form (1 - sqrt(1 - |w|^2)) / |w|^2 times w with the
+    cancelling difference rationalised away, so it needs no branch at w = 0.
     """
     w = np.asarray(w, dtype=float)
     wsq = np.sum(w * w, axis=-1, keepdims=True)
-    small = wsq < 1e-16
-    safe = np.where(small, 1.0, wsq)
-    factor = np.where(small, 0.5, (1.0 - np.sqrt(1.0 - wsq)) / safe)
-    return factor * w
+    return w / (1.0 + np.sqrt(1.0 - wsq))
+
+
+def mobius_gyr(u, v, w):
+    """Closed-form gyration gyr[u, v]w = w + 2(A u + B v) / D (Ungar, c = 1).
+
+    A = -(u.w)|v|^2 + v.w + 2(u.v)(v.w), B = -(v.w)|u|^2 - u.w and
+    D = 1 + 2 u.v + |u|^2 |v|^2, rearranged for double precision near the rim:
+
+    - A u + B v = (1 + u.v) Lw + L(Lw) for the rotation generator
+      Lw = (v.w) u - (u.w) v.  Both terms vanish for collinear u, v, where
+      the plain form cancels terms of size 1.
+    - D = |u + v|^2 + (1 - |u|^2)(1 - |v|^2) and
+      2(1 + u.v) = |u + v|^2 + (1 - |u|^2) + (1 - |v|^2) are sums of
+      nonnegative terms, so they keep their relative accuracy as u + v
+      approaches 0, where D is smallest.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+
+    def dot(x, y):
+        # einsum skips the product temporary that np.sum(x * y) allocates.
+        return np.einsum("...i,...i->...", x, y)[..., None]
+
+    s = u + v
+    ssq = dot(s, s)
+    pu = 1.0 - dot(u, u)
+    pv = 1.0 - dot(v, v)
+    lw = dot(v, w) * u - dot(u, w) * v
+    llw = dot(v, lw) * u - dot(u, lw) * v
+    return w + ((ssq + pu + pv) * lw + 2.0 * llw) / (ssq + pu * pv)
 
 
 def gyronorm_M(v):

@@ -30,6 +30,7 @@ def _einstein_model(dim):
         add=einstein.einstein_add,
         neg=np.negative,
         sample=lambda rng, count: sample_ball_points(dim, count, rng),
+        closed_gyr=einstein.einstein_gyr,
         validate=_validate_ball(dim),
     )
 
@@ -41,6 +42,7 @@ def _mobius_model(dim):
         add=mobius.mobius_add,
         neg=np.negative,
         sample=lambda rng, count: sample_ball_points(dim, count, rng),
+        closed_gyr=mobius.mobius_gyr,
         validate=_validate_ball(dim),
     )
 

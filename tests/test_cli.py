@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gyroball import phi, phi_inv
 from gyroball.cli import format_point, main, parse_point
 
 
@@ -124,6 +125,32 @@ def test_convert_round_trip(capsys):
                              "--to", "mobius", out.strip())
     assert code == code2 == 0
     assert np.allclose(parse_point(out2.strip()), parse_point(point), atol=1e-12)
+
+
+@pytest.mark.parametrize("order", ["point-last", "point-first", "after-double-dash"])
+def test_convert_negative_point_in_any_order(capsys, order):
+    point = "-0.3,0.2"
+    flags = ["--from", "mobius", "--to", "einstein"]
+    argv = {
+        "point-last": flags + [point],
+        "point-first": [point] + flags,
+        "after-double-dash": flags + ["--", point],
+    }[order]
+    code, out, err = run_cli(capsys, "convert", *argv)
+    assert code == 0, err
+    assert np.allclose(parse_point(out.strip()), phi(np.array([-0.3, 0.2])), atol=1e-15)
+
+
+def test_convert_negative_multi_coordinate_point(capsys):
+    point = "-0.25,-0.5,-.125,0.0625"
+    code, out, err = run_cli(capsys, "convert", "--from", "einstein",
+                             "--to", "mobius", point)
+    assert code == 0, err
+    assert np.allclose(parse_point(out.strip()), phi_inv(parse_point(point)), atol=1e-15)
+    code, out, _ = run_cli(capsys, "convert", "--from", "poincare-disk",
+                           "--to", "mobius", "-0.3-0.4i")
+    assert code == 0
+    assert np.allclose(parse_point(out.strip()), [-0.3, -0.4], atol=1e-15)
 
 
 def test_convert_unsupported_route_exits_2(capsys):

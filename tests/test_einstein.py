@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import mp_oracle
 from gyroball import (
     BoundaryError,
     einstein_add,
     euclidean_norm,
+    get_model,
     get_normed,
     gyrometric_de,
     gyronorm_E,
     make_rng,
+    phi_inv,
     rapidity_metric_dE,
     sample_ball_points,
     scalar_einstein_add,
@@ -117,3 +120,21 @@ def test_left_invariance_of_both_metrics():
                        rapidity_metric_dE(x, y), atol=1e-9)
     assert np.allclose(gyrometric_de(m.add(a, x), m.add(a, y)),
                        gyrometric_de(x, y), atol=1e-9)
+
+
+@pytest.mark.parametrize("cap", [0.95, 1 - 1e-6, 1 - 1e-9])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_closed_form_gyration_matches_oracle(dim, cap):
+    m = get_model("einstein", dim=dim)
+    rng = make_rng(70 + dim)
+    a, b, c = (sample_ball_points(dim, 60, rng, cap=cap) for _ in range(3))
+    out = m.gyr(a, b, c)
+    assert np.max(np.abs(out - mp_oracle.gyr("einstein", a, b, c))) <= 1e-14
+    assert np.max(np.abs(euclidean_norm(out) - euclidean_norm(c))) <= 1e-14
+
+
+def test_gyration_is_the_mobius_gyration_through_phi_inv():
+    e, mob = get_model("einstein", dim=3), get_model("mobius", dim=3)
+    rng = make_rng(41)
+    a, b, c = (sample_ball_points(3, 2000, rng) for _ in range(3))
+    assert np.array_equal(e.gyr(a, b, c), mob.gyr(phi_inv(a), phi_inv(b), c))

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import mp_oracle
 from gyroball import (
     einstein_add,
     euclidean_norm,
+    get_model,
     get_normed,
     gyronorm_M,
     make_rng,
@@ -61,6 +63,19 @@ def test_phi_inv_examples():
     assert np.allclose(phi_inv(np.array([0.8, 0.0])), [0.5, 0.0], atol=1e-15)
     tiny = np.array([1e-10, 0.0])
     assert np.allclose(phi_inv(tiny), tiny / 2, atol=1e-25)
+
+
+def test_phi_inv_matches_oracle_from_origin_to_rim():
+    # phi_inv amplifies input rounding by 1 / sqrt(1 - |w|^2) near the rim,
+    # so the bound is a few ulps times that condition number; near 0 it is
+    # a few ulps, where the old radical form lost up to 1e-2 to cancellation.
+    radii = np.geomspace(1e-12, 1 - 1e-9, 200)
+    dirs = sample_ball_points(3, 200, make_rng(58))
+    w = dirs / euclidean_norm(dirs)[:, None] * radii[:, None]
+    ref = mp_oracle.phi_inv(w)
+    rel = euclidean_norm(phi_inv(w) - ref) / euclidean_norm(ref)
+    assert np.all(rel <= 4 * np.finfo(float).eps / np.sqrt(1 - radii ** 2))
+    assert np.all(rel[radii < 0.5] <= 2.5e-16)
 
 
 def test_phi_round_trip():
@@ -127,3 +142,28 @@ def test_mobius_gyration_preserves_euclidean_norm():
     a, b, w = (sample_ball_points(3, 5000, rng) for _ in range(3))
     assert np.allclose(euclidean_norm(nm.model.gyr(a, b, w)),
                        euclidean_norm(w), atol=1e-9)
+
+
+@pytest.mark.parametrize("cap", [0.95, 1 - 1e-6, 1 - 1e-9])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_closed_form_gyration_matches_oracle(dim, cap):
+    m = get_model("mobius", dim=dim)
+    rng = make_rng(60 + dim)
+    a, b, c = (sample_ball_points(dim, 60, rng, cap=cap) for _ in range(3))
+    out = m.gyr(a, b, c)
+    assert np.max(np.abs(out - mp_oracle.gyr("mobius", a, b, c))) <= 1e-14
+    assert np.max(np.abs(euclidean_norm(out) - euclidean_norm(c))) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_gyration_of_antiparallel_rim_pairs_matches_oracle(dim):
+    # With v = -s u near the rim, D = 1 + 2 u.v + |u|^2 |v|^2 nears 0 and the
+    # rotation angle is sensitive to input rounding in proportion to
+    # 1 / (1 + u.v); the closed form must stay within a few ulps of that.
+    rng = make_rng(90 + dim)
+    u = sample_ball_points(dim, 200, rng, cap=1 - 1e-9)
+    v = -u * rng.uniform(0.9, 1.0, (200, 1))
+    w = sample_ball_points(dim, 200, rng)
+    err = np.max(np.abs(get_model("mobius", dim=dim).gyr(u, v, w)
+                        - mp_oracle.gyr("mobius", u, v, w)), axis=1)
+    assert np.all(err <= 4 * np.finfo(float).eps / (1 + np.sum(u * v, axis=1)))
