@@ -6,6 +6,7 @@ standard output; diagnostics go to standard error.
 """
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -41,18 +42,17 @@ class PointParseError(GyroError, ValueError):
 
 def parse_point(text, model_name=None):
     """Parse "x1,x2,..." (any model) or "a+bi" (poincare-disk)."""
-    if model_name == "poincare-disk":
-        m = _COMPLEX_FORM.match(text)
-        if m:
-            re_part = float(m.group("re")) if m.group("re") else 0.0
-            im_part = float(m.group("im").replace(" ", ""))
-            return np.array([re_part, im_part])
-    try:
-        coords = [float(part) for part in text.split(",")]
-    except ValueError:
-        raise PointParseError(f"cannot parse point {text!r}") from None
-    if not coords:
-        raise PointParseError(f"cannot parse point {text!r}")
+    m = _COMPLEX_FORM.match(text) if model_name == "poincare-disk" else None
+    if m:
+        coords = [float(m.group("re")) if m.group("re") else 0.0,
+                  float(m.group("im").replace(" ", ""))]
+    else:
+        try:
+            coords = [float(part) for part in text.split(",")]
+        except ValueError:
+            raise PointParseError(f"cannot parse point {text!r}") from None
+    if not all(map(math.isfinite, coords)):
+        raise PointParseError(f"point {text!r} has non-finite coordinates")
     return np.array(coords)
 
 
@@ -164,7 +164,14 @@ def _cmd_convert(args):
 
 def _cmd_check(args):
     dim = args.dim if args.dim is not None else (2 if args.model == "poincare-disk" else 3)
-    cfg = CheckConfig(samples=args.samples, seed=args.seed,
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("GYRO_SEED", str(DEFAULT_SEED))
+        try:
+            seed = int(env)
+        except ValueError:
+            raise DomainError(f"GYRO_SEED must be an integer, got {env!r}") from None
+    cfg = CheckConfig(samples=args.samples, seed=seed,
                       atol=args.tol_abs, rtol=args.tol_rel)
     try:
         report = run_suite(args.model, args.suite, cfg=cfg, dim=dim,
@@ -284,8 +291,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(_merge_point_flags(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "seed", None) is None and args.command == "check":
-        args.seed = int(os.environ.get("GYRO_SEED", DEFAULT_SEED))
     try:
         return args.func(args)
     except BoundaryError as exc:

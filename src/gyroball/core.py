@@ -25,7 +25,9 @@ class GyrogroupModel:
     """A concrete gyrogroup over an array carrier.
 
     ``add``/``neg``/``closed_gyr`` operate on the trailing axis and must
-    broadcast, so the engine can evaluate whole sample batches at once.
+    broadcast over the leading axes, so the engine can evaluate whole sample
+    batches at once: the probe checks pass (a, b) pairs of shape (N, 1, n)
+    with probe points of shape (1, P, n) and expect (N, P, n) results.
     ``hom``, when present, is a pair ``(target_model, map)`` giving a
     reference gyrogroup homomorphism used by the gyration-preservation check.
     """

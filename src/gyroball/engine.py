@@ -12,6 +12,7 @@ violations.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ from .core import (
     mazur_ulam_decompose,
 )
 from .einstein import einstein_add
-from .errors import SamplingHealthError, UnknownNameError
+from .errors import DomainError, SamplingHealthError, UnknownNameError
 from .registry import MODEL_NAMES, get_normed
 from .rng import make_rng
 from .vectors import arctanh_unchecked, euclidean_norm, sample_ball_points
@@ -46,6 +47,18 @@ class CheckConfig:
     probes: int = 32  # probe points per function-equality check
     positivity_floor: float = POSITIVITY_FLOOR
     max_failures: int = 10  # counterexamples recorded per property
+
+    def __post_init__(self):
+        # A suite that checks no row passes vacuously, a NaN tolerance fails
+        # every row and PCG64 refuses a negative seed: reject them on entry.
+        for name, value, least in (("samples", self.samples, 1),
+                                   ("probes", self.probes, 1), ("seed", self.seed, 0)):
+            if value < least:
+                raise DomainError(f"{name} must be >= {least}, got {value}")
+        for name, tol in (("absolute tolerance", self.atol),
+                          ("relative tolerance", self.rtol)):
+            if not (math.isfinite(tol) and tol >= 0.0):
+                raise DomainError(f"{name} must be finite and >= 0, got {tol!r}")
 
 
 @dataclass
@@ -146,13 +159,13 @@ class _SuiteRun:
         return self.m.sample(self.rng, count)
 
     def probe_rows(self, a, b, probes):
-        """Expand (a, b) rows against a shared probe set for pointwise
-        function-equality checks."""
-        p = probes.shape[0]
-        aP = np.repeat(a, p, axis=0)
-        bP = np.repeat(b, p, axis=0)
-        xP = np.tile(probes, (a.shape[0], 1))
-        return aP, bP, xP
+        """Views of (a, b) rows against a shared probe set for pointwise
+        function-equality checks: ``a[:, None]`` and ``b[:, None]`` of shape
+        (N, 1, n) and ``probes[None]`` of shape (1, P, n).  Kernels broadcast
+        them to (N, P, n) results while terms that depend on (a, b) alone are
+        computed once per pair; a result row recorded at ``sample_index``
+        i * P + j belongs to (a[i], b[i], probes[j])."""
+        return a[:, None], b[:, None], probes[None]
 
     def equal(self, name, inputs, lhs, rhs, note=""):
         self._record(name, inputs, lhs, rhs, mode="eq", note=note)
@@ -164,11 +177,13 @@ class _SuiteRun:
         cfg = self.cfg
         lhs = np.asarray(lhs, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
-        lhs, rhs = np.broadcast_arrays(lhs, rhs)
-        axes = tuple(range(1, lhs.ndim))
+        shape = np.broadcast_shapes(lhs.shape, rhs.shape)
+        # One row per index of the leading axes, i.e. every axis but the
+        # trailing coordinate axis; a 1-D result holds one value per row.
+        # Probe checks thus give N * P rows, flattened in C order.
+        lead = shape[:max(1, len(shape) - 1)]
+        axes = tuple(range(len(lead), len(shape)))
         finite = np.isfinite(lhs) & np.isfinite(rhs)
-        if axes:
-            finite = finite.all(axis=axes)
         if mode == "eq":
             err = np.abs(lhs - rhs)
             bound = cfg.atol + cfg.rtol * np.maximum(np.abs(lhs), np.abs(rhs))
@@ -177,23 +192,34 @@ class _SuiteRun:
             bound = cfg.atol + cfg.rtol * np.abs(rhs)
         with np.errstate(invalid="ignore"):
             ok = err <= bound
-        diff = np.maximum(err, 0.0) if mode == "le" else err
         if axes:
+            finite = finite.all(axis=axes)
             ok = ok.all(axis=axes)
-            with np.errstate(invalid="ignore"):
-                diff = np.nanmax(np.where(np.isfinite(diff), diff, 0.0), axis=axes)
-        n = lhs.shape[0]
+        finite, ok = finite.reshape(-1), ok.reshape(-1)
+        n = finite.size
         skipped_rows = int(np.count_nonzero(~finite))
         fail_idx = np.flatnonzero(finite & ~ok)
+
+        def row(v, i):
+            # Row i of v broadcast against the leading axes; read only for
+            # the recorded counterexamples.
+            v = np.asarray(v)
+            return np.broadcast_to(v, lead + v.shape[len(lead):])[np.unravel_index(i, lead)]
+
         failures = []
         for i in fail_idx[: cfg.max_failures]:
+            diff = row(err, i)
+            if mode == "le":
+                diff = np.maximum(diff, 0.0)
+            if axes:
+                diff = np.max(np.where(np.isfinite(diff), diff, 0.0))
             failures.append(Counterexample(
                 property_name=name,
                 sample_index=int(i),
-                inputs={k: _serialize(np.asarray(v)[i]) for k, v in inputs.items()},
-                lhs=_serialize(lhs[i]),
-                rhs=_serialize(rhs[i]),
-                diff=float(diff[i]),
+                inputs={k: _serialize(row(v, i)) for k, v in inputs.items()},
+                lhs=_serialize(row(lhs, i)),
+                rhs=_serialize(row(rhs, i)),
+                diff=float(diff),
             ))
         if skipped_rows == n and n > 0:
             status = "skipped"
@@ -245,7 +271,7 @@ def suite_axioms(nm, cfg):
               m.add(a, m.add(b, c)), m.add(m.add(a, b), m.gyr(a, b, c)))
     probes = run.draw(cfg.probes)
     aP, bP, xP = run.probe_rows(a, b, probes)
-    yP = np.tile(np.roll(probes, 1, axis=0), (cfg.samples, 1))
+    yP = np.roll(xP, 1, axis=1)
     gP = m.gyr(aP, bP, xP)
     run.equal("G4-left-loop", {"a": aP, "b": bP, "x": xP},
               m.gyr(m.add(aP, bP), bP, xP), gP)
@@ -441,7 +467,7 @@ def suite_homogeneity_isotropy(nm, cfg):
     aP, bP, xP = run.probe_rows(a, b, probes)
     moved_dist = euclidean_norm(m.gyr(aP, bP, xP) - xP)
     bound = cfg.atol + cfg.rtol * euclidean_norm(xP)
-    row_moved = (moved_dist > bound).reshape(cfg.samples, cfg.probes).any(axis=1)
+    row_moved = (moved_dist > bound).any(axis=1)
     if not row_moved.any():
         note = ("all sampled gyrations are the identity map; "
                 "model is degenerate, isotropy not applicable")
@@ -533,60 +559,3 @@ def run_suite(model_name, suite_name, cfg=None, dim=3, gyronorm=None) -> CheckRe
         )
     return report
 
-
-# Spec-level convenience wrappers ---------------------------------------------
-
-def check_axioms(nm, cfg=None):
-    return _finish(nm, "axioms", suite_axioms(nm, cfg or CheckConfig()), cfg)
-
-
-def check_table1(nm, cfg=None):
-    return _finish(nm, "table1", suite_table1(nm, cfg or CheckConfig()), cfg)
-
-
-def check_gyronorm(nm, cfg=None):
-    return _finish(nm, "gyronorm", suite_gyronorm(nm, cfg or CheckConfig()), cfg)
-
-
-def check_metric(nm, cfg=None):
-    return _finish(nm, "metric", suite_metric(nm, cfg or CheckConfig()), cfg)
-
-
-def check_left_invariance(nm, cfg=None):
-    return _finish(nm, "left-invariance", suite_left_invariance(nm, cfg or CheckConfig()), cfg)
-
-
-def check_automorphism_isometry(nm, tau, cfg=None):
-    return _finish(nm, "isometry", suite_isometry(nm, cfg or CheckConfig(), tau=tau), cfg)
-
-
-def check_right_inequality_and_klee(nm, cfg=None):
-    return _finish(nm, "klee", suite_klee(nm, cfg or CheckConfig()), cfg)
-
-
-def check_commutative_like(nm, cfg=None):
-    return _finish(nm, "commutative-like", suite_commutative_like(nm, cfg or CheckConfig()), cfg)
-
-
-def check_mazur_ulam(nm, f=None, cfg=None):
-    return _finish(nm, "mazur-ulam", suite_mazur_ulam(nm, cfg or CheckConfig(), f=f), cfg)
-
-
-def check_homogeneity_isotropy(nm, cfg=None):
-    return _finish(nm, "homogeneity-isotropy", suite_homogeneity_isotropy(nm, cfg or CheckConfig()), cfg)
-
-
-def _finish(nm, suite_name, run, cfg):
-    cfg = cfg or CheckConfig()
-    return CheckReport(
-        suite=suite_name,
-        model=nm.model.name,
-        gyronorm=nm.norm_name,
-        dim=nm.model.dim,
-        seed=cfg.seed,
-        samples=cfg.samples,
-        atol=cfg.atol,
-        rtol=cfg.rtol,
-        skipped=run.skipped,
-        properties=run.results,
-    )

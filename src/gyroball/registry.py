@@ -4,7 +4,7 @@ import numpy as np
 
 from . import disk, einstein, mobius
 from .core import GyrogroupModel, GyronormedModel, discrete_gyronorm, group_adapter
-from .errors import DimensionMismatchError, UnknownNameError
+from .errors import DimensionMismatchError, DomainError, UnknownNameError
 from .vectors import ensure_in_ball, euclidean_norm, sample_ball_points
 
 MODEL_NAMES = ("einstein", "mobius", "poincare-disk", "group")
@@ -61,6 +61,8 @@ def _disk_model():
 
 def get_model(name, dim=3) -> GyrogroupModel:
     """Build a registered gyrogroup model, wiring its reference homomorphism."""
+    if dim < 1:
+        raise DomainError(f"dim must be >= 1, got {dim}")
     if name == "einstein":
         m = _einstein_model(dim)
         object.__setattr__(m, "hom", (_mobius_model(dim), mobius.phi_inv))

@@ -242,3 +242,36 @@ def test_check_text_output(capsys):
 
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
+
+
+# --- rejected inputs: exit 2 and a message, never a traceback ---------------
+
+@pytest.mark.parametrize("extra", [
+    ["--model", "group", "--dim", "-3"],
+    ["--model", "einstein", "--dim", "0"],
+    ["--model", "einstein", "--samples", "-5"],
+    ["--model", "einstein", "--samples", "0"],
+    ["--model", "einstein", "--seed", "-1"],
+    ["--model", "einstein", "--tol-abs", "nan"],
+], ids=["dim-negative", "dim-zero", "samples-negative", "samples-zero",
+        "seed-negative", "tol-abs-nan"])
+def test_check_rejects_bad_config_with_exit_2(capsys, extra):
+    code, out, err = run_cli(capsys, "check", "--suite", "axioms", *extra)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+def test_check_rejects_non_integer_seed_env_with_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("GYRO_SEED", "abc")
+    code, out, err = run_cli(capsys, "check", "--model", "group", "--suite", "axioms",
+                             "--samples", "100")
+    assert code == 2
+    assert out == "" and "GYRO_SEED" in err
+
+
+@pytest.mark.parametrize("point", ["nan,0", "inf,0", "1e999,0"])
+def test_add_rejects_non_finite_point_with_exit_2(capsys, point):
+    code, out, err = run_cli(capsys, "add", "--model", "einstein",
+                             "--u", point, "--v", "0.1,0")
+    assert code == 2
+    assert out == "" and "non-finite" in err

@@ -13,7 +13,9 @@ from gyroball import (
     run_suite,
     sample_ball_points,
 )
+from gyroball.core import gyr_via_gyrator_identity
 from gyroball.engine import suite_axioms
+from gyroball.rng import make_rng
 
 FAST = CheckConfig(samples=500)
 
@@ -186,3 +188,68 @@ def test_topology_suite_runs_on_einstein():
     names = [p.name for p in report.properties]
     assert "ball-inclusion-eps-0.5" in names
     assert "gyrometric-below-rapidity-eps-1.0" in names
+
+
+# --- probe checks: broadcast (N, 1, n) x (1, P, n) rows ----------------------
+
+BROADCAST_MODELS = (("einstein", 1), ("einstein", 3), ("einstein", 5),
+                    ("mobius", 3), ("poincare-disk", 2), ("group", 3))
+
+
+@pytest.mark.parametrize("model,dim", BROADCAST_MODELS)
+def test_kernels_are_bitwise_equal_under_broadcasting(model, dim):
+    # The probe checks rely on this: (a, b) rows of shape (N, 1, n) against
+    # probes of shape (1, P, n) give the same bits as materialised rows.
+    m = get_normed(model, dim=dim).model
+    rng = make_rng(5)
+    a, b, probes = m.sample(rng, 40), m.sample(rng, 40), m.sample(rng, 7)
+    n, p = len(a), len(probes)
+    flat = (np.repeat(a, p, axis=0), np.repeat(b, p, axis=0), np.tile(probes, (n, 1)))
+    wide = (a[:, None], b[:, None], probes[None])
+    kernels = {
+        "add": lambda a, b, x: m.add(a, x),
+        "add-pair": lambda a, b, x: m.add(m.add(a, b), x),
+        "neg": lambda a, b, x: m.add(m.neg(a), m.neg(x)),
+        "gyr": lambda a, b, x: m.gyr(a, b, x),
+        "gyr-of-sum": lambda a, b, x: m.gyr(m.add(a, b), b, x),
+        "gyr-of-negs": lambda a, b, x: m.gyr(m.neg(a), m.neg(b), x),
+        "gyr-identity": lambda a, b, x: gyr_via_gyrator_identity(m, a, b, x),
+    }
+    for name, f in kernels.items():
+        got = np.broadcast_to(f(*wide), (n, p, dim)).reshape(n * p, dim)
+        assert np.array_equal(got, f(*flat)), name
+
+
+PROBE_PROPERTIES = {
+    "axioms": ("G4-left-loop", "gyr-automorphism"),
+    "table1": ("even-property", "inversive-symmetry", "composition-law"),
+}
+
+
+@pytest.mark.parametrize("model,dim", (("einstein", 3), ("mobius", 3), ("poincare-disk", 2)))
+@pytest.mark.parametrize("suite", ("axioms", "table1"))
+def test_probe_witnesses_index_pairs_and_probes(model, dim, suite):
+    cfg = CheckConfig(samples=300, seed=11, atol=1e-17, rtol=0.0)
+    report = run_suite(model, suite, cfg, dim=dim)
+    # At this tolerance rounding fails probe rows; each witness must name the
+    # inputs of row i * P + j: (a[i], b[i], probes[j]), as both suites draw
+    # a, b, c and then the probes from the seed's stream.
+    m = get_normed(model, dim=dim).model
+    rng = make_rng(cfg.seed)
+    a, b, _ = (m.sample(rng, cfg.samples) for _ in range(3))
+    probes = m.sample(rng, cfg.probes)
+    expected_inputs = {
+        "a": lambda i: a[i // cfg.probes],
+        "b": lambda i: b[i // cfg.probes],
+        "x": lambda i: probes[i % cfg.probes],
+        "y": lambda i: np.roll(probes, 1, axis=0)[i % cfg.probes],
+    }
+    probe_props = [p for p in report.properties if p.name in PROBE_PROPERTIES[suite]]
+    assert len(probe_props) == len(PROBE_PROPERTIES[suite])
+    assert any(p.failures for p in probe_props)
+    for prop in probe_props:
+        assert prop.checked == cfg.samples * cfg.probes
+        for c in prop.failures:
+            assert 0 <= c.sample_index < cfg.samples * cfg.probes
+            for key, value in c.inputs.items():
+                assert value == expected_inputs[key](c.sample_index).tolist(), (prop.name, key)
