@@ -10,6 +10,7 @@ import numpy as np
 from .vectors import (
     arctanh_unchecked,
     atanh_guarded,
+    dot,
     ensure_in_ball,
     euclidean_norm,
     promote_float,
@@ -35,7 +36,7 @@ def conj(a):
 
 def cdiv(a, b):
     b = promote_float(b)
-    return cmul(a, conj(b)) / np.sum(b * b, axis=-1, keepdims=True)
+    return cmul(a, conj(b)) / dot(b, b)[..., None]
 
 
 def cmobius_add(a, b):

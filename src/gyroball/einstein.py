@@ -1,7 +1,8 @@
 """Einstein gyrogroup on the open unit ball.
 
-Gyrations are borrowed from the Mobius model: phi is radial and gyrations
-are orthogonal, so gyr_E[u, v] = gyr_M[phi_inv u, phi_inv v].
+Gyrations, per-pair rotation matrices below dim 8, are borrowed from the
+Mobius model: phi is radial and gyrations are orthogonal, so
+gyr_E[u, v] = gyr_M[phi_inv u, phi_inv v].
 """
 
 from dataclasses import dataclass, field
@@ -13,6 +14,7 @@ from .mobius import mobius_gyr, phi_inv
 from .vectors import (
     arctanh_unchecked,
     atanh_guarded,
+    dot,
     ensure_in_ball,
     euclidean_norm,
     promote_float,
@@ -24,8 +26,8 @@ def einstein_add(u, v):
     """Relativistic velocity addition of ball points (trailing axis)."""
     u = promote_float(u)
     v = promote_float(v)
-    ip = np.sum(u * v, axis=-1, keepdims=True)
-    gamma = 1.0 / np.sqrt(1.0 - np.sum(u * u, axis=-1, keepdims=True))
+    ip = dot(u, v)[..., None]
+    gamma = 1.0 / np.sqrt(1.0 - dot(u, u)[..., None])
     return (u + v / gamma + (gamma / (1.0 + gamma)) * ip * u) / (1.0 + ip)
 
 

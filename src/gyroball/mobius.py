@@ -4,8 +4,10 @@ Einstein model."""
 import numpy as np
 
 from .vectors import (
+    SHORT_AXIS,
     arctanh_unchecked,
     atanh_guarded,
+    dot,
     ensure_in_ball,
     euclidean_norm,
     promote_float,
@@ -16,9 +18,9 @@ def mobius_add(u, v):
     """Mobius addition of ball points (trailing axis)."""
     u = promote_float(u)
     v = promote_float(v)
-    ip = np.sum(u * v, axis=-1, keepdims=True)
-    usq = np.sum(u * u, axis=-1, keepdims=True)
-    vsq = np.sum(v * v, axis=-1, keepdims=True)
+    ip = dot(u, v)[..., None]
+    usq = dot(u, u)[..., None]
+    vsq = dot(v, v)[..., None]
     num = (1.0 + 2.0 * ip + vsq) * u + (1.0 - usq) * v
     den = 1.0 + 2.0 * ip + usq * vsq
     return num / den
@@ -27,7 +29,7 @@ def mobius_add(u, v):
 def phi(v):
     """Isomorphism onto the Einstein model: v -> 2v / (1 + |v|^2)."""
     v = np.asarray(v, dtype=float)
-    vsq = np.sum(v * v, axis=-1, keepdims=True)
+    vsq = dot(v, v)[..., None]
     return 2.0 * v / (1.0 + vsq)
 
 
@@ -38,7 +40,7 @@ def phi_inv(w):
     cancelling difference rationalised away, so it needs no branch at w = 0.
     """
     w = np.asarray(w, dtype=float)
-    wsq = np.sum(w * w, axis=-1, keepdims=True)
+    wsq = dot(w, w)[..., None]
     return w / (1.0 + np.sqrt(1.0 - wsq))
 
 
@@ -48,29 +50,35 @@ def mobius_gyr(u, v, w):
     A = -(u.w)|v|^2 + v.w + 2(u.v)(v.w), B = -(v.w)|u|^2 - u.w and
     D = 1 + 2 u.v + |u|^2 |v|^2, rearranged for double precision near the rim:
 
-    - A u + B v = (1 + u.v) Lw + L(Lw) for the rotation generator
-      Lw = (v.w) u - (u.w) v.  Both terms vanish for collinear u, v, where
-      the plain form cancels terms of size 1.
+    - A u + B v = (1 + u.v) Lw + L(Lw) for L = u v^T - v u^T.  Both terms
+      vanish for collinear u, v, where the plain form cancels terms of size 1.
     - D = |u + v|^2 + (1 - |u|^2)(1 - |v|^2) and
       2(1 + u.v) = |u + v|^2 + (1 - |u|^2) + (1 - |v|^2) are sums of
       nonnegative terms, so they keep their relative accuracy as u + v
       approaches 0, where D is smallest.
+
+    Below SHORT_AXIS coordinates each broadcast (u, v) row gets the matrix
+    I + (2(1 + u.v) L + 2 L @ L) / D, which the probe checks apply to 32 rows.
+    L @ L, unlike its expanded form, vanishes with L; in dim 1, L = 0.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-
-    def dot(x, y):
-        # einsum skips the product temporary that np.sum(x * y) allocates.
-        return np.einsum("...i,...i->...", x, y)[..., None]
-
     s = u + v
-    ssq = dot(s, s)
-    pu = 1.0 - dot(u, u)
-    pv = 1.0 - dot(v, v)
-    lw = dot(v, w) * u - dot(u, w) * v
-    llw = dot(v, lw) * u - dot(u, lw) * v
-    return w + ((ssq + pu + pv) * lw + 2.0 * llw) / (ssq + pu * pv)
+    ssq = dot(s, s)[..., None]
+    pu = 1.0 - dot(u, u)[..., None]
+    pv = 1.0 - dot(v, v)[..., None]
+    n = s.shape[-1]
+    if n >= SHORT_AXIS:
+        lw = dot(v, w)[..., None] * u - dot(u, w)[..., None] * v
+        llw = dot(v, lw)[..., None] * u - dot(u, lw)[..., None] * v
+        return w + ((ssq + pu + pv) * lw + 2.0 * llw) / (ssq + pu * pv)
+    ssq, pu, pv = ssq[..., None], pu[..., None], pv[..., None]
+    lm = u[..., :, None] * v[..., None, :] - v[..., :, None] * u[..., None, :]
+    g = np.eye(n) + ((ssq + pu + pv) * lm + 2.0 * (lm @ lm)) / (ssq + pu * pv)
+    # One output coordinate at a time: unlike np.matmul, this gives each row
+    # the same bits however the leading axes broadcast.
+    return np.stack([dot(g[..., i, :], w) for i in range(n)], axis=-1)
 
 
 def gyronorm_M(v):

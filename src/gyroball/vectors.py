@@ -18,6 +18,10 @@ BOUNDARY_GUARD = 1e-12
 # covers all formulas; rim behavior gets dedicated directed tests.
 SAMPLE_RADIUS_CAP = 0.95
 
+# Trailing axes shorter than this are summed coordinate by coordinate (dot)
+# and rotated by per-pair n x n matrices; from about 8 on, O(n) work wins.
+SHORT_AXIS = 8
+
 DEFAULT_ATOL = 1e-9
 DEFAULT_RTOL = 1e-9
 
@@ -58,6 +62,23 @@ def as_vector(coords) -> np.ndarray:
     return v
 
 
+def dot(u, v):
+    """Inner product of arrays over their shared trailing axis.
+
+    Below SHORT_AXIS coordinates they are summed one at a time, one
+    elementwise pass each.  numpy's pairwise summation starts at 8 terms, so
+    the bits equal ``np.sum(u * v, axis=-1)`` (but a sum of -0.0 stays -0.0).
+    Longer axes go through einsum, which needs no product temporary.
+    """
+    n = u.shape[-1]
+    if n >= SHORT_AXIS:
+        return np.einsum("...i,...i->...", u, v)
+    s = u[..., 0] * v[..., 0]
+    for j in range(1, n):
+        s = s + u[..., j] * v[..., j]
+    return s
+
+
 def inner_product(u, v):
     """Euclidean inner product over the trailing axis."""
     u = np.asarray(u, dtype=float)
@@ -66,12 +87,12 @@ def inner_product(u, v):
         raise DimensionMismatchError(
             f"dimension mismatch: {u.shape[-1]} vs {v.shape[-1]}"
         )
-    return np.sum(u * v, axis=-1)
+    return dot(u, v)
 
 
 def euclidean_norm(v):
     v = np.asarray(v, dtype=float)
-    return np.sqrt(np.sum(v * v, axis=-1))
+    return np.sqrt(dot(v, v))
 
 
 def ball_point(coords) -> np.ndarray:
@@ -95,7 +116,7 @@ def lorentz_gamma(v):
     """Relativistic dilation factor 1/sqrt(1 - |v|^2) for |v| < 1."""
     v = np.asarray(v, dtype=float)
     ensure_in_ball(v)
-    return 1.0 / np.sqrt(1.0 - np.sum(v * v, axis=-1))
+    return 1.0 / np.sqrt(1.0 - dot(v, v))
 
 
 def atanh_guarded(x):
@@ -143,7 +164,7 @@ def sample_ball_points(n, count, rng, cap=SAMPLE_RADIUS_CAP):
     state.
     """
     z = rng.standard_normal((count, n))
-    lengths = np.sqrt(np.sum(z * z, axis=-1, keepdims=True))
+    lengths = np.sqrt(dot(z, z))[:, None]
     lengths[lengths == 0.0] = 1.0
     u = rng.random((count, 1))
     radius = cap * u ** (1.0 / n)

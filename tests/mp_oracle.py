@@ -44,6 +44,11 @@ def _rows(fn, *arrays):
     return np.array(out)
 
 
+def add(model_name, a, b):
+    """a + b in the model's addition."""
+    return _rows(ADD[model_name], a, b)
+
+
 def gyr(model_name, a, b, c):
     """gyr[a, b]c from the gyrator identity, neg(a + b) + (a + (b + c))."""
     add = ADD[model_name]

@@ -123,7 +123,8 @@ def test_left_invariance_of_both_metrics():
 
 
 @pytest.mark.parametrize("cap", [0.95, 1 - 1e-6, 1 - 1e-9])
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+# Up to dim 7 gyrations take the matrix form, from dim 8 the vector form.
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 7, 8])
 def test_closed_form_gyration_matches_oracle(dim, cap):
     m = get_model("einstein", dim=dim)
     rng = make_rng(70 + dim)

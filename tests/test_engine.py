@@ -13,6 +13,7 @@ from gyroball import (
     run_suite,
     sample_ball_points,
 )
+from gyroball import cli
 from gyroball.core import gyr_via_gyrator_identity
 from gyroball.engine import suite_axioms
 from gyroball.rng import make_rng
@@ -174,6 +175,23 @@ def test_unhealthy_sampling_raises(monkeypatch):
     assert exc.value.report.skipped > 5
 
 
+@pytest.mark.parametrize("suite", ["gyronorm", "metric"])
+def test_nan_gyronorm_fails_the_sampling_health_gate(monkeypatch, suite):
+    # Properties whose every row is non-finite are reported as skipped, but
+    # only skips declared through skip_property are exempt from the gate.
+    model = get_normed("einstein", dim=3).model
+    nm = GyronormedModel(model, "rapidity", lambda v: np.full(np.shape(v)[:-1], np.nan))
+    monkeypatch.setattr("gyroball.engine.get_normed",
+                        lambda name, dim=3, gyronorm=None: nm)
+    with pytest.raises(SamplingHealthError) as exc:
+        run_suite("einstein", suite, FAST)
+    assert exc.value.report.properties
+    assert all(p.status == "skipped" and p.checked == 0
+               for p in exc.value.report.properties)
+    assert cli.main(["check", "--model", "einstein", "--suite", suite,
+                     "--samples", "500"]) == 4
+
+
 def test_isometry_suite_accepts_explicit_gyration():
     from gyroball.engine import suite_isometry
     nm = get_normed("einstein", dim=2)
@@ -193,7 +211,8 @@ def test_topology_suite_runs_on_einstein():
 # --- probe checks: broadcast (N, 1, n) x (1, P, n) rows ----------------------
 
 BROADCAST_MODELS = (("einstein", 1), ("einstein", 3), ("einstein", 5),
-                    ("mobius", 3), ("poincare-disk", 2), ("group", 3))
+                    ("mobius", 3), ("mobius", 5), ("mobius", 7), ("einstein", 8),
+                    ("poincare-disk", 2), ("group", 3))
 
 
 @pytest.mark.parametrize("model,dim", BROADCAST_MODELS)
@@ -213,6 +232,8 @@ def test_kernels_are_bitwise_equal_under_broadcasting(model, dim):
         "gyr": lambda a, b, x: m.gyr(a, b, x),
         "gyr-of-sum": lambda a, b, x: m.gyr(m.add(a, b), b, x),
         "gyr-of-negs": lambda a, b, x: m.gyr(m.neg(a), m.neg(b), x),
+        # A full (N, P, n) w against (N, 1, n) pairs, as in inversive-symmetry.
+        "gyr-of-gyr": lambda a, b, x: m.gyr(b, a, m.gyr(a, b, x)),
         "gyr-identity": lambda a, b, x: gyr_via_gyrator_identity(m, a, b, x),
     }
     for name, f in kernels.items():

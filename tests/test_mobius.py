@@ -145,7 +145,8 @@ def test_mobius_gyration_preserves_euclidean_norm():
 
 
 @pytest.mark.parametrize("cap", [0.95, 1 - 1e-6, 1 - 1e-9])
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+# Up to dim 7 gyrations take the matrix form, from dim 8 the vector form.
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 7, 8])
 def test_closed_form_gyration_matches_oracle(dim, cap):
     m = get_model("mobius", dim=dim)
     rng = make_rng(60 + dim)
@@ -155,7 +156,7 @@ def test_closed_form_gyration_matches_oracle(dim, cap):
     assert np.max(np.abs(euclidean_norm(out) - euclidean_norm(c))) <= 1e-14
 
 
-@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("dim", [1, 3, 8])
 def test_gyration_of_antiparallel_rim_pairs_matches_oracle(dim):
     # With v = -s u near the rim, D = 1 + 2 u.v + |u|^2 |v|^2 nears 0 and the
     # rotation angle is sensitive to input rounding in proportion to
@@ -167,3 +168,38 @@ def test_gyration_of_antiparallel_rim_pairs_matches_oracle(dim):
     err = np.max(np.abs(get_model("mobius", dim=dim).gyr(u, v, w)
                         - mp_oracle.gyr("mobius", u, v, w)), axis=1)
     assert np.all(err <= 4 * np.finfo(float).eps / (1 + np.sum(u * v, axis=1)))
+
+
+@pytest.mark.parametrize("model", ["einstein", "mobius"])
+def test_gyration_in_dim_1_returns_w_exactly(model):
+    # In dim 1 every pair is collinear, so L = u v^T - v u^T is exactly 0
+    # and G = I, also for antiparallel pairs at the rim.
+    rng = make_rng(96)
+    u = sample_ball_points(1, 500, rng, cap=1 - 1e-9)
+    v = np.concatenate([sample_ball_points(1, 250, rng), -u[:250]])
+    w = np.concatenate([sample_ball_points(1, 499, rng), [[-0.0]]])
+    assert np.array_equal(get_model(model, dim=1).gyr(u, v, w), w)
+
+
+# Worst absolute errors measured over 5 seeds x 200 samples per (cap, dim):
+# einstein 6.9e-16 (cap 0.95), 3.6e-15 (1 - 1e-6), 4.1e-15 (1 - 1e-9);
+# mobius 2.4e-15, 8.6e-14 and 5.5e-14, where nearly antiparallel pairs near
+# the rim make 1 + 2 u.v + |u|^2 |v|^2 small.  Each bound is about 2.5 times
+# the worst measured error.
+ADD_ORACLE_BOUNDS = {
+    ("einstein", 0.95): 2e-15, ("einstein", 1 - 1e-6): 1e-14,
+    ("einstein", 1 - 1e-9): 1e-14,
+    ("mobius", 0.95): 6e-15, ("mobius", 1 - 1e-6): 2e-13,
+    ("mobius", 1 - 1e-9): 2e-13,
+}
+
+
+@pytest.mark.parametrize("model,cap", ADD_ORACLE_BOUNDS)
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 10])
+def test_addition_matches_oracle(model, cap, dim):
+    # From dim 8 on, the inner products go through einsum instead of being
+    # summed coordinate by coordinate.
+    rng = make_rng(100 + dim)
+    u, v = (sample_ball_points(dim, 100, rng, cap=cap) for _ in range(2))
+    out = get_model(model, dim=dim).add(u, v)
+    assert np.max(np.abs(out - mp_oracle.add(model, u, v))) <= ADD_ORACLE_BOUNDS[model, cap]

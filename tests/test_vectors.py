@@ -18,12 +18,26 @@ from gyroball import (
     sample_ball_points,
     scalar_einstein_add,
 )
+from gyroball.vectors import SHORT_AXIS, dot
 
 
 def test_inner_product_examples():
     assert inner_product([1, 0], [0, 1]) == 0.0
     assert inner_product([0.5, 0], [0.5, 0]) == 0.25
     assert inner_product([0.1, 0.2, 0.3], [0.3, 0.2, 0.1]) == pytest.approx(0.10)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("n", range(1, SHORT_AXIS))
+def test_dot_is_bitwise_equal_to_numpy_sum_below_eight_coordinates(n, dtype):
+    # Coordinates spread over 16 decades, so a change of summation order
+    # changes the rounding of most rows.
+    rng = make_rng(20 + n)
+    u = (rng.standard_normal((300, 4, n)) * 10.0 ** rng.integers(-8, 8, (300, 4, n))).astype(dtype)
+    v = rng.standard_normal((300, 4, n)).astype(dtype)
+    assert np.array_equal(dot(u, v), np.sum(u * v, axis=-1))
+    assert dot(u, v).dtype == dtype
+    assert np.array_equal(dot(u[:, :1], v[:1]), np.sum(u[:, :1] * v[:1], axis=-1))
 
 
 def test_inner_product_dimension_mismatch():
