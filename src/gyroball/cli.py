@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 property failure, 2 usage/parse/lookup error,
-3 boundary error, 4 sampling-health failure.  Structured reports go to
-standard output; diagnostics go to standard error.
+Exit codes: 0 success, 1 property failure, 2 usage/parse/lookup error or
+out of memory, 3 boundary error, 4 sampling-health failure.  Structured
+reports go to standard output; diagnostics go to standard error.
 """
 
 import argparse
@@ -299,6 +299,9 @@ def main(argv=None) -> int:
     except (PointParseError, DomainError, DimensionMismatchError,
             UnknownNameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -26,8 +26,9 @@ class GyrogroupModel:
 
     ``add``/``neg``/``closed_gyr`` operate on the trailing axis and must
     broadcast over the leading axes, so the engine can evaluate whole sample
-    batches at once: the probe checks pass (a, b) pairs of shape (N, 1, n)
-    with probe points of shape (1, P, n) and expect (N, P, n) results.
+    batches at once: the probe checks pass blocks of (a, b) pairs of shape
+    (B, 1, n) with probe points of shape (1, P, n) and expect (B, P, n)
+    results, row for row the bits of any other block.
     ``hom``, when present, is a pair ``(target_model, map)`` giving a
     reference gyrogroup homomorphism used by the gyration-preservation check.
     """

@@ -28,7 +28,11 @@ def einstein_add(u, v):
     v = promote_float(v)
     ip = dot(u, v)[..., None]
     gamma = 1.0 / np.sqrt(1.0 - dot(u, u)[..., None])
-    return (u + v / gamma + (gamma / (1.0 + gamma)) * ip * u) / (1.0 + ip)
+    out = v / gamma
+    out += u
+    out += (gamma / (1.0 + gamma)) * ip * u
+    out /= 1.0 + ip
+    return out
 
 
 def einstein_gyr(u, v, w):

@@ -1,7 +1,8 @@
 """Seeded verification and falsification suites.
 
 Every suite draws its samples from one PCG64 stream, evaluates each property
-on whole batches at once, and assembles an immutable report.  Identical
+on whole batches at once (the pair x probe checks on blocks of pairs, so
+their memory stays bounded), and assembles an immutable report.  Identical
 (model, suite, seed, samples, tolerance) inputs yield byte-identical
 serialized reports.  Rows that evaluate to non-finite values (boundary
 blow-ups) are skipped and counted; a suite with more than 1% skips raises
@@ -36,6 +37,11 @@ MAX_SKIP_FRACTION = 0.01
 # Directions of the "norm zero implies identity" check: exact zeros are
 # measure-zero under sampling, so anything below this floor must sit at e.
 POSITIVITY_FLOOR = 1e-7
+
+# Probe checks run on blocks of pairs whose (block, P, n) arrays hold at most
+# this many elements, 2 MiB of float64; smaller blocks leave glibc's mmap
+# threshold low and cost the light suites page faults.
+BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -166,38 +172,48 @@ class _SuiteRun:
     def draw(self, count):
         return self.m.sample(self.rng, count)
 
-    def probe_rows(self, a, b, probes):
-        """Views of (a, b) rows against a shared probe set for pointwise
-        function-equality checks: ``a[:, None]`` and ``b[:, None]`` of shape
-        (N, 1, n) and ``probes[None]`` of shape (1, P, n).  Kernels broadcast
-        them to (N, P, n) results while terms that depend on (a, b) alone are
-        computed once per pair; a result row recorded at ``sample_index``
-        i * P + j belongs to (a[i], b[i], probes[j])."""
-        return a[:, None], b[:, None], probes[None]
+    def probe_blocks(self, a, b, probes):
+        """Blocks of (a, b) rows against a shared probe set for pointwise
+        function-equality checks.  Yields ``(first_row, aP, bP, xP)`` with
+        views ``aP = a[i:j, None]``, ``bP = b[i:j, None]`` of shape
+        (j - i, 1, n) and ``xP = probes[None]`` of shape (1, P, n).  Kernels
+        broadcast them to (j - i, P, n) results, at most BLOCK_ELEMENTS
+        elements unless one pair exceeds it, while terms that depend on (a, b)
+        alone are computed once per pair.  Recorded with ``first=first_row``,
+        result row k of a block gets ``sample_index`` first_row + k, which is
+        i * P + j for (a[i], b[i], probes[j])."""
+        p, n = probes.shape
+        step = max(1, BLOCK_ELEMENTS // (p * n))
+        for i in range(0, len(a), step):
+            yield i * p, a[i:i + step, None], b[i:i + step, None], probes[None]
 
-    def equal(self, name, inputs, lhs, rhs, note=""):
-        self._record(name, inputs, lhs, rhs, mode="eq", note=note)
+    def equal(self, name, inputs, lhs, rhs, note="", first=0):
+        self._record(name, inputs, lhs, rhs, mode="eq", note=note, first=first)
 
-    def less_equal(self, name, inputs, lhs, rhs, note=""):
-        self._record(name, inputs, lhs, rhs, mode="le", note=note)
+    def less_equal(self, name, inputs, lhs, rhs, note="", first=0):
+        self._record(name, inputs, lhs, rhs, mode="le", note=note, first=first)
 
-    def _record(self, name, inputs, lhs, rhs, mode, note=""):
+    def _record(self, name, inputs, lhs, rhs, mode, note="", first=0):
+        """Record a property, or with ``first`` > 0 merge a later block of
+        it, whose rows start at global row ``first``, into its result."""
         cfg = self.cfg
         lhs = np.asarray(lhs, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
         shape = np.broadcast_shapes(lhs.shape, rhs.shape)
         # One row per index of the leading axes, i.e. every axis but the
         # trailing coordinate axis; a 1-D result holds one value per row.
-        # Probe checks thus give N * P rows, flattened in C order.
+        # Probe checks thus give block * P rows, flattened in C order.
         lead = shape[:max(1, len(shape) - 1)]
         axes = tuple(range(len(lead), len(shape)))
         finite = np.isfinite(lhs) & np.isfinite(rhs)
+        err = lhs - rhs
         if mode == "eq":
-            err = np.abs(lhs - rhs)
-            bound = cfg.atol + cfg.rtol * np.maximum(np.abs(lhs), np.abs(rhs))
+            np.abs(err, out=err)
+            bound = np.maximum(np.abs(lhs), np.abs(rhs))
         else:
-            err = lhs - rhs
-            bound = cfg.atol + cfg.rtol * np.abs(rhs)
+            bound = np.abs(rhs)
+        bound *= cfg.rtol
+        bound += cfg.atol
         with np.errstate(invalid="ignore"):
             ok = err <= bound
         if axes:
@@ -206,6 +222,9 @@ class _SuiteRun:
         n = finite.size
         skipped_rows = int(np.count_nonzero(~finite))
         fail_idx = np.flatnonzero(finite & ~ok)
+        if not first:
+            self.results.append(PropertyResult(name, "pass", 0, 0, 0, [], note))
+        res = next(r for r in reversed(self.results) if r.name == name)
 
         def row(v, i):
             # Row i of v broadcast against the leading axes; read only for
@@ -213,34 +232,27 @@ class _SuiteRun:
             v = np.asarray(v)
             return np.broadcast_to(v, lead + v.shape[len(lead):])[np.unravel_index(i, lead)]
 
-        failures = []
-        for i in fail_idx[: cfg.max_failures]:
+        for i in fail_idx[: cfg.max_failures - len(res.failures)]:
             diff = row(err, i)
             if mode == "le":
                 diff = np.maximum(diff, 0.0)
             if axes:
                 diff = np.max(np.where(np.isfinite(diff), diff, 0.0))
-            failures.append(Counterexample(
+            res.failures.append(Counterexample(
                 property_name=name,
-                sample_index=int(i),
+                sample_index=first + int(i),
                 inputs={k: _serialize(row(v, i)) for k, v in inputs.items()},
                 lhs=_serialize(row(lhs, i)),
                 rhs=_serialize(row(rhs, i)),
                 diff=float(diff),
             ))
-        if skipped_rows == n and n > 0:
-            status = "skipped"
+        res.checked += int(n - skipped_rows)
+        res.failed += int(fail_idx.size)
+        res.skipped += skipped_rows
+        if res.checked == 0 and res.skipped > 0:
+            res.status = "skipped"
         else:
-            status = "fail" if fail_idx.size else "pass"
-        self.results.append(PropertyResult(
-            name=name,
-            status=status,
-            checked=int(n - skipped_rows),
-            failed=int(fail_idx.size),
-            skipped=skipped_rows,
-            failures=failures,
-            note=note,
-        ))
+            res.status = "fail" if res.failed else "pass"
         self.skipped += skipped_rows
 
     def skip_property(self, name, count, note):
@@ -277,15 +289,15 @@ def suite_axioms(nm, cfg):
     run.equal("G3-left-gyroassociative", {"a": a, "b": b, "c": c},
               m.add(a, m.add(b, c)), m.add(m.add(a, b), m.gyr(a, b, c)))
     probes = run.draw(cfg.probes)
-    aP, bP, xP = run.probe_rows(a, b, probes)
-    yP = np.roll(xP, 1, axis=1)
-    gP = m.gyr(aP, bP, xP)
-    run.equal("G4-left-loop", {"a": aP, "b": bP, "x": xP},
-              m.gyr(m.add(aP, bP), bP, xP), gP)
-    rhs = m.add(gP, m.gyr(aP, bP, yP))
-    del gP  # one fewer batch-sized array alive while the last check records
-    run.equal("gyr-automorphism", {"a": aP, "b": bP, "x": xP, "y": yP},
-              m.gyr(aP, bP, m.add(xP, yP)), rhs)
+    for first, aP, bP, xP in run.probe_blocks(a, b, probes):
+        yP = np.roll(xP, 1, axis=1)
+        gP = m.gyr(aP, bP, xP)
+        run.equal("G4-left-loop", {"a": aP, "b": bP, "x": xP},
+                  m.gyr(m.add(aP, bP), bP, xP), gP, first=first)
+        rhs = m.add(gP, m.gyr(aP, bP, yP))
+        del gP  # one fewer block-sized array alive while the last check records
+        run.equal("gyr-automorphism", {"a": aP, "b": bP, "x": xP, "y": yP},
+                  m.gyr(aP, bP, m.add(xP, yP)), rhs, first=first)
     return run
 
 
@@ -294,7 +306,6 @@ def suite_table1(nm, cfg):
     m = run.m
     a, b, c = run.draw(cfg.samples), run.draw(cfg.samples), run.draw(cfg.samples)
     probes = run.draw(cfg.probes)
-    aP, bP, xP = run.probe_rows(a, b, probes)
     run.equal("involution-of-inversion", {"a": a}, m.neg(m.neg(a)), a)
     run.equal("left-cancellation", {"a": a, "b": b},
               m.add(m.neg(a), m.add(a, b)), b)
@@ -305,22 +316,24 @@ def suite_table1(nm, cfg):
     run.equal("cancellation-chain", {"a": a, "b": b, "c": c},
               m.add(m.add(m.neg(a), b), m.gyr(m.neg(a), b, m.add(m.neg(b), c))),
               m.add(m.neg(a), c))
-    gP = m.gyr(aP, bP, xP)
-    run.equal("even-property", {"a": aP, "b": bP, "x": xP},
-              m.gyr(m.neg(aP), m.neg(bP), xP), gP)
-    run.equal("inversive-symmetry", {"a": aP, "b": bP, "x": xP},
-              m.gyr(bP, aP, gP), xP)
-    if m.hom is not None:
-        target, f = m.hom
-        run.equal("gyration-preservation-hom", {"a": a, "b": b, "c": c},
-                  f(m.gyr(a, b, c)), target.gyr(f(a), f(b), f(c)))
-    else:
-        run.skip_property("gyration-preservation-hom", cfg.samples,
-                          "model registers no reference homomorphism")
-    rhs = m.add(m.add(aP, bP), gP)
-    del gP
-    run.equal("composition-law", {"a": aP, "b": bP, "x": xP},
-              m.add(aP, m.add(bP, xP)), rhs)
+    for first, aP, bP, xP in run.probe_blocks(a, b, probes):
+        gP = m.gyr(aP, bP, xP)
+        run.equal("even-property", {"a": aP, "b": bP, "x": xP},
+                  m.gyr(m.neg(aP), m.neg(bP), xP), gP, first=first)
+        run.equal("inversive-symmetry", {"a": aP, "b": bP, "x": xP},
+                  m.gyr(bP, aP, gP), xP, first=first)
+        if first == 0:  # a whole (N, n) check, at its place in the report
+            if m.hom is not None:
+                target, f = m.hom
+                run.equal("gyration-preservation-hom", {"a": a, "b": b, "c": c},
+                          f(m.gyr(a, b, c)), target.gyr(f(a), f(b), f(c)))
+            else:
+                run.skip_property("gyration-preservation-hom", cfg.samples,
+                                  "model registers no reference homomorphism")
+        rhs = m.add(m.add(aP, bP), gP)
+        del gP
+        run.equal("composition-law", {"a": aP, "b": bP, "x": xP},
+                  m.add(aP, m.add(bP, xP)), rhs, first=first)
     return run
 
 
@@ -363,7 +376,7 @@ def suite_metric(nm, cfg):
               lhs, np.zeros(2 * cfg.samples))
     run.equal("symmetry", {"x": x, "y": y}, dxy, d(y, x))
     run.less_equal("triangle-inequality", {"x": x, "y": y, "z": z},
-                   d(x, z), d(x, y) + d(y, z))
+                   d(x, z), dxy + d(y, z))
     return run
 
 
@@ -449,11 +462,11 @@ def suite_mazur_ulam(nm, cfg, f=None):
     run.equal("rho-fixes-identity", {"e": e[None, :]},
               apply_isometry(m, rho, e)[None, :], e[None, :])
     x, y = run.draw(cfg.samples), run.draw(cfg.samples)
-    rx = apply_isometry(m, rho, x)
+    fx = apply_isometry(m, f, x)
+    rx = m.add(m.neg(t), fx)  # rho is f followed by L_{neg t}
     ry = apply_isometry(m, rho, y)
     run.equal("rho-isometry", {"x": x, "y": y}, d(rx, ry), d(x, y))
-    run.equal("decomposition-reproduces-f", {"x": x},
-              apply_isometry(m, f, x), m.add(t, rx))
+    run.equal("decomposition-reproduces-f", {"x": x}, fx, m.add(t, rx))
     return run
 
 
@@ -472,10 +485,10 @@ def suite_homogeneity_isotropy(nm, cfg):
 
     a, b, p = run.draw(cfg.samples), run.draw(cfg.samples), run.draw(cfg.samples)
     probes = run.draw(cfg.probes)
-    aP, bP, xP = run.probe_rows(a, b, probes)
-    moved_dist = euclidean_norm(m.gyr(aP, bP, xP) - xP)
-    bound = cfg.atol + cfg.rtol * euclidean_norm(xP)
-    row_moved = (moved_dist > bound).any(axis=1)
+    row_moved = np.concatenate([
+        (euclidean_norm(m.gyr(aP, bP, xP) - xP)
+         > cfg.atol + cfg.rtol * euclidean_norm(xP)).any(axis=1)
+        for _, aP, bP, xP in run.probe_blocks(a, b, probes)])
     if not row_moved.any():
         note = ("all sampled gyrations are the identity map; "
                 "model is degenerate, isotropy not applicable")

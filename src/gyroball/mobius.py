@@ -21,9 +21,10 @@ def mobius_add(u, v):
     ip = dot(u, v)[..., None]
     usq = dot(u, u)[..., None]
     vsq = dot(v, v)[..., None]
-    num = (1.0 + 2.0 * ip + vsq) * u + (1.0 - usq) * v
-    den = 1.0 + 2.0 * ip + usq * vsq
-    return num / den
+    num = (1.0 + 2.0 * ip + vsq) * u
+    num += (1.0 - usq) * v
+    num /= 1.0 + 2.0 * ip + usq * vsq
+    return num
 
 
 def phi(v):

@@ -167,8 +167,9 @@ def sample_ball_points(n, count, rng, cap=SAMPLE_RADIUS_CAP):
     lengths = np.sqrt(dot(z, z))[:, None]
     lengths[lengths == 0.0] = 1.0
     u = rng.random((count, 1))
-    radius = cap * u ** (1.0 / n)
-    return z / lengths * radius
+    z /= lengths
+    z *= cap * u ** (1.0 / n)
+    return z
 
 
 def sample_ball_point(n, rng, cap=SAMPLE_RADIUS_CAP):

@@ -275,3 +275,15 @@ def test_add_rejects_non_finite_point_with_exit_2(capsys, point):
                              "--u", point, "--v", "0.1,0")
     assert code == 2
     assert out == "" and "non-finite" in err
+
+
+def test_check_out_of_memory_exits_2_without_traceback(capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.5 TiB for an array")
+
+    monkeypatch.setattr("gyroball.cli.run_suite", no_memory)
+    code, out, err = run_cli(capsys, "check", "--model", "mobius", "--suite", "axioms",
+                             "--samples", "3000000000")
+    assert code == 2
+    assert out == "" and err.startswith("error: out of memory: Unable to allocate")
+    assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -212,13 +214,14 @@ def test_topology_suite_runs_on_einstein():
 
 BROADCAST_MODELS = (("einstein", 1), ("einstein", 3), ("einstein", 5),
                     ("mobius", 3), ("mobius", 5), ("mobius", 7), ("einstein", 8),
-                    ("poincare-disk", 2), ("group", 3))
+                    ("mobius", 16), ("poincare-disk", 2), ("group", 3))
 
 
 @pytest.mark.parametrize("model,dim", BROADCAST_MODELS)
 def test_kernels_are_bitwise_equal_under_broadcasting(model, dim):
     # The probe checks rely on this: (a, b) rows of shape (N, 1, n) against
-    # probes of shape (1, P, n) give the same bits as materialised rows.
+    # probes of shape (1, P, n) give the same bits as materialised rows, and
+    # a block of rows a[i:j] gives the same bits as rows i..j of the whole.
     m = get_normed(model, dim=dim).model
     rng = make_rng(5)
     a, b, probes = m.sample(rng, 40), m.sample(rng, 40), m.sample(rng, 7)
@@ -237,8 +240,11 @@ def test_kernels_are_bitwise_equal_under_broadcasting(model, dim):
         "gyr-identity": lambda a, b, x: gyr_via_gyrator_identity(m, a, b, x),
     }
     for name, f in kernels.items():
-        got = np.broadcast_to(f(*wide), (n, p, dim)).reshape(n * p, dim)
-        assert np.array_equal(got, f(*flat)), name
+        whole = np.broadcast_to(f(*wide), (n, p, dim))
+        assert np.array_equal(whole.reshape(n * p, dim), f(*flat)), name
+        for i, j in ((0, 1), (1, 17), (17, n)):
+            part = f(a[i:j, None], b[i:j, None], probes[None])
+            assert np.array_equal(np.broadcast_to(part, (j - i, p, dim)), whole[i:j]), (name, i, j)
 
 
 PROBE_PROPERTIES = {
@@ -274,3 +280,44 @@ def test_probe_witnesses_index_pairs_and_probes(model, dim, suite):
             assert 0 <= c.sample_index < cfg.samples * cfg.probes
             for key, value in c.inputs.items():
                 assert value == expected_inputs[key](c.sample_index).tolist(), (prop.name, key)
+
+
+# --- probe checks run in blocks of pairs -------------------------------------
+
+def _witness_rows(report):
+    return [(p.name, [c.sample_index for c in p.failures]) for p in report.properties]
+
+
+@pytest.mark.parametrize("pairs", (1, 7))
+@pytest.mark.parametrize("model,dim", (("einstein", 3), ("mobius", 5), ("mobius", 16),
+                                       ("poincare-disk", 2), ("group", 3)))
+@pytest.mark.parametrize("suite", ("axioms", "table1", "homogeneity-isotropy"))
+def test_blocked_probe_checks_match_one_block(monkeypatch, suite, model, dim, pairs):
+    # At this tolerance rounding fails probe rows.  With two probes per pair
+    # and three witnesses per property, blocks of one pair put witnesses, and
+    # the cutoff after the third, into different blocks; blocks of seven
+    # leave a short last block.
+    cfg = CheckConfig(samples=40, seed=3, atol=1e-17, rtol=0.0, probes=2, max_failures=3)
+    whole = run_suite(model, suite, cfg, dim=dim)
+    monkeypatch.setattr("gyroball.engine.BLOCK_ELEMENTS", pairs * cfg.probes * dim)
+    blocked = run_suite(model, suite, cfg, dim=dim)
+    assert blocked.to_json() == whole.to_json()
+    assert _witness_rows(blocked) == _witness_rows(whole)
+    if pairs == 1 and model != "group" and suite in PROBE_PROPERTIES:
+        rows = [i for name, idx in _witness_rows(whole)
+                if name in PROBE_PROPERTIES[suite] for i in idx]
+        assert any(i >= pairs * cfg.probes for i in rows), rows
+
+
+def test_probe_check_memory_stays_bounded():
+    # Probe checks materialise (block, P, n) arrays of at most 2 MiB, not
+    # (N, P, n) ones: at dim 64 the latter are 31.25 MiB each and the suite
+    # peaked at 194 MiB; with blocks it peaks at about 17 MiB.
+    tracemalloc.start()
+    try:
+        report = run_suite("mobius", "axioms", CheckConfig(samples=2000), dim=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 32 * 2**20, peak / 2**20

@@ -18,6 +18,7 @@ from gyroball import (
     rapidity_metric_dM,
     sample_ball_points,
 )
+from gyroball.vectors import dot
 
 
 def brute_force_mobius_add(u, v):
@@ -203,3 +204,32 @@ def test_addition_matches_oracle(model, cap, dim):
     u, v = (sample_ball_points(dim, 100, rng, cap=cap) for _ in range(2))
     out = get_model(model, dim=dim).add(u, v)
     assert np.max(np.abs(out - mp_oracle.add(model, u, v))) <= ADD_ORACLE_BOUNDS[model, cap]
+
+
+def _einstein_add_expression(u, v):
+    ip = dot(u, v)[..., None]
+    gamma = 1.0 / np.sqrt(1.0 - dot(u, u)[..., None])
+    return (u + v / gamma + (gamma / (1.0 + gamma)) * ip * u) / (1.0 + ip)
+
+
+def _mobius_add_expression(u, v):
+    ip, usq, vsq = dot(u, v)[..., None], dot(u, u)[..., None], dot(v, v)[..., None]
+    return ((1.0 + 2.0 * ip + vsq) * u + (1.0 - usq) * v) / (1.0 + 2.0 * ip + usq * vsq)
+
+
+@pytest.mark.parametrize("add,expression", [(einstein_add, _einstein_add_expression),
+                                            (mobius_add, _mobius_add_expression)],
+                         ids=["einstein", "mobius"])
+@pytest.mark.parametrize("dtypes", [(np.float64, np.float64), (np.longdouble, np.longdouble),
+                                    (np.longdouble, np.float64), (np.float64, np.longdouble)])
+def test_addition_equals_its_expression_form(add, expression, dtypes):
+    # The kernels update one fresh temporary in place, in the order of the
+    # whole expression, so the bits must not move; longdouble operands, as
+    # in the gyrator identity, must keep their precision.
+    rng = make_rng(7)
+    u = sample_ball_points(3, 50, rng).astype(dtypes[0])[:, None]
+    v = sample_ball_points(3, 8, rng).astype(dtypes[1])[None]
+    got, want = add(u, v), expression(u, v)
+    assert got.dtype == want.dtype == np.result_type(*dtypes)
+    assert got.shape == (50, 8, 3)
+    assert np.array_equal(got, want)
