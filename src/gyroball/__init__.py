@@ -12,12 +12,10 @@ from .core import (
     IsometrySpec,
     LeftTranslation,
     apply_isometry,
-    discrete_gyronorm,
     group_adapter,
     gyr_via_gyrator_identity,
     gyronorm_from_metric,
     homogeneity_witness,
-    induced_metric,
     isotropy_witness,
     mazur_ulam_decompose,
 )
@@ -33,7 +31,6 @@ from .einstein import (
     gyrometric_de,
     gyronorm_E,
     rapidity_metric_dE,
-    topology_ball_inclusion,
 )
 from .engine import CheckConfig, CheckReport, run_suite, SUITE_NAMES
 from .errors import (
@@ -48,7 +45,7 @@ from .errors import (
 )
 from .mobius import gyronorm_M, mobius_add, phi, phi_inv, rapidity_metric_dM
 from .registry import MODEL_NAMES, get_model, get_normed
-from .rng import make_rng, worker_rng
+from .rng import make_rng
 from .vectors import (
     Tolerance,
     atanh_guarded,

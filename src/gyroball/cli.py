@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 property failure, 2 usage/parse/lookup error or
-out of memory, 3 boundary error, 4 sampling-health failure.  Structured
-reports go to standard output; diagnostics go to standard error.
+Exit codes: 0 success, 1 property failure, 2 usage/parse/lookup error, a
+non-finite result or out of memory, 3 boundary error, 4 sampling-health
+failure.  Structured reports go to standard output; diagnostics go to
+standard error.
 """
 
 import argparse
@@ -13,8 +14,6 @@ import sys
 
 import numpy as np
 
-from .disk import poincare_metric
-from .einstein import gyrometric_de, rapidity_metric_dE
 from .engine import CheckConfig, run_suite, SUITE_NAMES
 from .errors import (
     BoundaryError,
@@ -24,11 +23,15 @@ from .errors import (
     SamplingHealthError,
     UnknownNameError,
 )
-from .mobius import phi, phi_inv, rapidity_metric_dM
-from .registry import MODEL_NAMES, get_model, gyronorm_names
-from .vectors import ensure_in_ball, euclidean_norm
-
-DEFAULT_SEED = 42
+from .registry import (
+    COMPLEX_MODELS,
+    CONVERSIONS,
+    GYRONORMS,
+    MODEL_NAMES,
+    get_model,
+    resolve_gyronorm,
+)
+from .vectors import ensure_in_ball
 
 _COMPLEX_FORM = re.compile(
     r"^\s*(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?\s*"
@@ -41,8 +44,8 @@ class PointParseError(GyroError, ValueError):
 
 
 def parse_point(text, model_name=None):
-    """Parse "x1,x2,..." (any model) or "a+bi" (poincare-disk)."""
-    m = _COMPLEX_FORM.match(text) if model_name == "poincare-disk" else None
+    """Parse "x1,x2,..." (any model) or "a+bi" (models on the complex plane)."""
+    m = _COMPLEX_FORM.match(text) if model_name in COMPLEX_MODELS else None
     if m:
         coords = [float(m.group("re")) if m.group("re") else 0.0,
                   float(m.group("im").replace(" ", ""))]
@@ -60,7 +63,10 @@ def format_point(v):
     return ",".join(f"{x:.17g}" for x in np.atleast_1d(v))
 
 
-def _resolve_dim(args, points):
+def _model_points(args, *texts):
+    """Parse the points of add, gyr or dist, check that they share one dim,
+    the one --dim names if given, and validate them in the model of that dim."""
+    points = [parse_point(t, args.model) for t in texts]
     dims = {p.shape[-1] for p in points}
     if len(dims) != 1:
         raise DimensionMismatchError(
@@ -71,79 +77,60 @@ def _resolve_dim(args, points):
         raise DimensionMismatchError(
             f"--dim {args.dim} disagrees with point dimension {dim}"
         )
-    if args.model == "poincare-disk" and dim != 2:
-        raise DimensionMismatchError("model 'poincare-disk' requires dim = 2")
-    return dim
-
-
-def _cmd_add(args):
-    u = parse_point(args.u, args.model)
-    v = parse_point(args.v, args.model)
-    dim = _resolve_dim(args, [u, v])
-    model = get_model(args.model, dim=dim)
-    model.validate(u) if model.validate else None
-    model.validate(v) if model.validate else None
-    result = model.add(u, v)
-    if args.model != "group":
-        ensure_in_ball(result)
-    print(format_point(result))
-    return 0
-
-
-def _cmd_gyr(args):
-    a = parse_point(args.a, args.model)
-    b = parse_point(args.b, args.model)
-    c = parse_point(args.c, args.model)
-    dim = _resolve_dim(args, [a, b, c])
     model = get_model(args.model, dim=dim)
     if model.validate:
-        for p in (a, b, c):
+        for p in points:
             model.validate(p)
-    result = model.gyr(a, b, c)
-    if args.model != "group":
-        ensure_in_ball(result)
-    print(format_point(result))
-    return 0
+    return model, points
 
 
-_METRICS = {
-    ("einstein", "rapidity"): rapidity_metric_dE,
-    ("einstein", "euclidean"): gyrometric_de,
-    ("mobius", "rapidity"): rapidity_metric_dM,
-    ("poincare-disk", "poincare"): poincare_metric,
-    ("group", "euclidean"): lambda u, v: euclidean_norm(v - u),
-    ("group", "discrete"): lambda u, v: float(euclidean_norm(v - u) > 1e-9),
-}
+def _prints_result(command):
+    """Print the point or distance that ``command`` returns.  numpy stays
+    quiet while it runs, and a non-finite result, as when the group model's
+    arithmetic overflows, is rejected instead of printed."""
+
+    def run(args):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            result = command(args)
+        if not np.all(np.isfinite(result)):
+            raise DomainError(f"result {format_point(result)} is not finite")
+        print(format_point(result))
+        return 0
+
+    return run
 
 
-def _cmd_dist(args):
-    u = parse_point(args.u, args.model)
-    v = parse_point(args.v, args.model)
-    dim = _resolve_dim(args, [u, v])
-    model = get_model(args.model, dim=dim)
+def _validated(model, result):
     if model.validate:
-        model.validate(u)
-        model.validate(v)
-    norm_name = args.gyronorm or gyronorm_names(args.model)[0]
-    try:
-        metric = _METRICS[(args.model, norm_name)]
-    except KeyError:
-        valid = ", ".join(n for m, n in _METRICS if m == args.model)
-        raise UnknownNameError(
-            f"unknown gyronorm '{norm_name}' for model '{args.model}'; valid: {valid}"
-        ) from None
-    print(f"{float(metric(u, v)):.17g}")
-    return 0
+        model.validate(result)
+    return result
 
 
-_ROUTES = {
-    ("mobius", "einstein"): phi,
-    ("einstein", "mobius"): phi_inv,
-    ("poincare-disk", "mobius"): lambda p: p,
-    ("mobius", "poincare-disk"): lambda p: p,
-}
+@_prints_result
+def _cmd_add(args):
+    model, (u, v) = _model_points(args, args.u, args.v)
+    return _validated(model, model.add(u, v))
 
 
+@_prints_result
+def _cmd_gyr(args):
+    model, (a, b, c) = _model_points(args, args.a, args.b, args.c)
+    return _validated(model, model.gyr(a, b, c))
+
+
+# Both tables are read at call time: (model, gyronorm) -> metric(u, v), and
+# (from, to) -> conversion map.
+_METRICS = {key: g.metric for key, g in GYRONORMS.items()}
+_ROUTES = CONVERSIONS
+
+
+@_prints_result
+def _cmd_dist(args):
+    _, (u, v) = _model_points(args, args.u, args.v)
+    return _METRICS[args.model, resolve_gyronorm(args.model, args.gyronorm)](u, v)
+
+
+@_prints_result
 def _cmd_convert(args):
     try:
         route = _ROUTES[(args.src, args.dst)]
@@ -153,20 +140,18 @@ def _cmd_convert(args):
             + ", ".join(f"{a}->{b}" for a, b in _ROUTES)
         ) from None
     p = parse_point(args.point, args.src)
-    if "poincare-disk" in (args.src, args.dst) and p.shape[-1] != 2:
-        raise DimensionMismatchError("disk conversions require dim = 2")
-    ensure_in_ball(p)
+    # Mapped before the boundary checks: a disk route rejects a point of
+    # the wrong dim first.
     result = route(p)
+    ensure_in_ball(p)
     ensure_in_ball(result)
-    print(format_point(result))
-    return 0
+    return result
 
 
 def _cmd_check(args):
-    dim = args.dim if args.dim is not None else (2 if args.model == "poincare-disk" else 3)
     seed = args.seed
     if seed is None:
-        env = os.environ.get("GYRO_SEED", str(DEFAULT_SEED))
+        env = os.environ.get("GYRO_SEED", str(CheckConfig.seed))
         try:
             seed = int(env)
         except ValueError:
@@ -174,7 +159,7 @@ def _cmd_check(args):
     cfg = CheckConfig(samples=args.samples, seed=seed,
                       atol=args.tol_abs, rtol=args.tol_rel)
     try:
-        report = run_suite(args.model, args.suite, cfg=cfg, dim=dim,
+        report = run_suite(args.model, args.suite, cfg=cfg, dim=args.dim,
                            gyronorm=args.gyronorm)
     except SamplingHealthError as exc:
         if exc.report is not None and args.output == "structured":
@@ -239,10 +224,10 @@ def build_parser():
     add_common(p_check)
     p_check.add_argument("--suite", required=True)
     p_check.add_argument("--gyronorm", default=None)
-    p_check.add_argument("--samples", type=int, default=10000)
+    p_check.add_argument("--samples", type=int, default=CheckConfig.samples)
     p_check.add_argument("--seed", type=int, default=None)
-    p_check.add_argument("--tol-abs", type=float, default=1e-9)
-    p_check.add_argument("--tol-rel", type=float, default=1e-9)
+    p_check.add_argument("--tol-abs", type=float, default=CheckConfig.atol)
+    p_check.add_argument("--tol-rel", type=float, default=CheckConfig.rtol)
     p_check.add_argument("--output", choices=("structured", "text"),
                          default="structured")
     p_check.set_defaults(func=_cmd_check)

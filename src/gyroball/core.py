@@ -10,7 +10,7 @@ isometries are built generically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -83,11 +83,6 @@ class GyronormedModel:
         """The induced metric d(x, y) = norm(neg(x) + y)."""
         m = self.model
         return self.norm(m.add(m.neg(x), y))
-
-
-def induced_metric(nm: GyronormedModel) -> Callable:
-    """Metric induced by the gyronorm; a bound alias of ``nm.distance``."""
-    return nm.distance
 
 
 def gyronorm_from_metric(m, d, rng=None, check_samples=200, tol=None):
@@ -228,7 +223,7 @@ def group_adapter(n: int) -> GyronormedModel:
     Euclidean distance.  Sampling stays in the capped unit ball so the same
     tolerances apply as for the curved models.
     """
-    model = GyrogroupModel(
+    base = GyrogroupModel(
         name="group",
         dim=n,
         add=lambda a, b: np.asarray(a, dtype=float) + np.asarray(b, dtype=float),
@@ -240,18 +235,22 @@ def group_adapter(n: int) -> GyronormedModel:
         ).copy(),
     )
     # The doubling automorphism is the reference homomorphism of the adapter.
-    object.__setattr__(model, "hom", (model, lambda v: 2.0 * np.asarray(v, dtype=float)))
+    model = replace(base, hom=(base, lambda v: 2.0 * np.asarray(v, dtype=float)))
     return GyronormedModel(model, "euclidean", euclidean_norm)
 
 
-def discrete_gyronorm(m: GyrogroupModel, threshold=1e-9) -> GyronormedModel:
-    """Gyronorm that is 0 at the identity and 1 elsewhere.
+def euclidean_distance(u, v):
+    """|v - u|, the metric of the group's Euclidean gyronorm."""
+    return euclidean_norm(np.asarray(v, dtype=float) - np.asarray(u, dtype=float))
 
-    Floating carriers need a threshold for "at the identity"; the induced
-    metric is the discrete metric.
-    """
 
-    def norm(x):
-        return np.where(euclidean_norm(x) <= threshold, 0.0, 1.0)
+def discrete_norm(x):
+    """Gyronorm that is 0 at the identity and 1 elsewhere; floating carriers
+    need a threshold for "at the identity"."""
+    return np.where(euclidean_norm(x) <= 1e-9, 0.0, 1.0)
 
-    return GyronormedModel(m, "discrete", norm)
+
+def discrete_distance(u, v):
+    """The discrete metric, the one discrete_norm induces on the group."""
+    return discrete_norm(np.asarray(v, dtype=float) - np.asarray(u, dtype=float))
+

@@ -7,6 +7,7 @@ the arithmetic is auditable.
 
 import numpy as np
 
+from .errors import DimensionMismatchError
 from .vectors import (
     arctanh_unchecked,
     atanh_guarded,
@@ -17,7 +18,6 @@ from .vectors import (
 )
 
 _ONE = np.array([1.0, 0.0])
-_ZERO = np.array([0.0, 0.0])
 
 
 def cmul(a, b):
@@ -81,3 +81,13 @@ def mobius_transformation(a, z):
 def poincare_norm_unchecked(z):
     """Engine-facing disk gyronorm; no boundary guard."""
     return 2.0 * arctanh_unchecked(euclidean_norm(z))
+
+
+def ball_coordinates(p):
+    """The carrier identification x + iy <-> (x, y) between the disk and the
+    2-dimensional vector Mobius ball, an isomorphism; the identity on
+    coordinates, defined for 2-vectors only."""
+    p = np.asarray(p, dtype=float)
+    if p.shape[-1] != 2:
+        raise DimensionMismatchError("disk conversions require dim = 2")
+    return p

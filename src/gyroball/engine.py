@@ -69,7 +69,6 @@ class CheckConfig:
 
 @dataclass
 class Counterexample:
-    property_name: str
     sample_index: int
     inputs: dict
     lhs: object
@@ -239,7 +238,6 @@ class _SuiteRun:
             if axes:
                 diff = np.max(np.where(np.isfinite(diff), diff, 0.0))
             res.failures.append(Counterexample(
-                property_name=name,
                 sample_index=first + int(i),
                 inputs={k: _serialize(row(v, i)) for k, v in inputs.items()},
                 lhs=_serialize(row(lhs, i)),
@@ -544,8 +542,9 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(model_name, suite_name, cfg=None, dim=3, gyronorm=None) -> CheckReport:
-    """Run a registered suite against a registered model; deterministic."""
+def run_suite(model_name, suite_name, cfg=None, dim=None, gyronorm=None) -> CheckReport:
+    """Run a registered suite against a registered model, at the model's
+    default dim and gyronorm when None; deterministic."""
     cfg = cfg or CheckConfig()
     if suite_name not in _SUITES:
         raise UnknownNameError(

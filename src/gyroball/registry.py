@@ -1,107 +1,18 @@
-"""Model and gyronorm registry consumed by the property engine and the CLI."""
+"""The registry: every per-model fact in one place, read by the property
+engine, the CLI and the tests."""
+
+from collections import namedtuple
 
 import numpy as np
 
-from . import disk, einstein, mobius
-from .core import GyrogroupModel, GyronormedModel, discrete_gyronorm, group_adapter
+from . import core, disk, einstein, mobius
+from .core import GyrogroupModel, GyronormedModel
 from .errors import DimensionMismatchError, DomainError, UnknownNameError
 from .vectors import ensure_in_ball, euclidean_norm, sample_ball_points
 
 MODEL_NAMES = ("einstein", "mobius", "poincare-disk", "group")
 
-
-def _validate_ball(dim):
-    def check(v):
-        v = np.asarray(v, dtype=float)
-        if v.shape[-1] != dim:
-            raise DimensionMismatchError(
-                f"expected a point of dimension {dim}, got {v.shape[-1]}"
-            )
-        ensure_in_ball(v)
-        return v
-
-    return check
-
-
-def _einstein_model(dim):
-    return GyrogroupModel(
-        name="einstein",
-        dim=dim,
-        add=einstein.einstein_add,
-        neg=np.negative,
-        sample=lambda rng, count: sample_ball_points(dim, count, rng),
-        closed_gyr=einstein.einstein_gyr,
-        validate=_validate_ball(dim),
-    )
-
-
-def _mobius_model(dim):
-    return GyrogroupModel(
-        name="mobius",
-        dim=dim,
-        add=mobius.mobius_add,
-        neg=np.negative,
-        sample=lambda rng, count: sample_ball_points(dim, count, rng),
-        closed_gyr=mobius.mobius_gyr,
-        validate=_validate_ball(dim),
-    )
-
-
-def _disk_model():
-    return GyrogroupModel(
-        name="poincare-disk",
-        dim=2,
-        add=disk.cmobius_add,
-        neg=np.negative,
-        sample=lambda rng, count: sample_ball_points(2, count, rng),
-        closed_gyr=disk.rotation_gyr,
-        validate=_validate_ball(2),
-    )
-
-
-def get_model(name, dim=3) -> GyrogroupModel:
-    """Build a registered gyrogroup model, wiring its reference homomorphism."""
-    if dim < 1:
-        raise DomainError(f"dim must be >= 1, got {dim}")
-    if name == "einstein":
-        m = _einstein_model(dim)
-        object.__setattr__(m, "hom", (_mobius_model(dim), mobius.phi_inv))
-        return m
-    if name == "mobius":
-        m = _mobius_model(dim)
-        object.__setattr__(m, "hom", (_einstein_model(dim), mobius.phi))
-        return m
-    if name == "poincare-disk":
-        if dim != 2:
-            raise DimensionMismatchError("model 'poincare-disk' requires dim = 2")
-        m = _disk_model()
-        # The carrier identification (x, y) <-> x + iy is an isomorphism onto
-        # the 2-dimensional vector Mobius model.
-        object.__setattr__(m, "hom", (_mobius_model(2), lambda z: np.asarray(z, dtype=float)))
-        return m
-    if name == "group":
-        return group_adapter(dim).model
-    raise UnknownNameError(
-        f"unknown model '{name}'; valid models: {', '.join(MODEL_NAMES)}"
-    )
-
-
-_GYRONORMS = {
-    "einstein": {
-        "rapidity": lambda m: einstein.rapidity_norm_unchecked,
-        "euclidean": lambda m: euclidean_norm,
-    },
-    "mobius": {
-        "rapidity": lambda m: mobius.rapidity_norm_unchecked,
-    },
-    "poincare-disk": {
-        "poincare": lambda m: disk.poincare_norm_unchecked,
-    },
-    "group": {
-        "euclidean": lambda m: euclidean_norm,
-        "discrete": lambda m: discrete_gyronorm(m).norm,
-    },
-}
+DEFAULT_DIM = {"einstein": 3, "mobius": 3, "poincare-disk": 2, "group": 3}
 
 DEFAULT_GYRONORM = {
     "einstein": "rapidity",
@@ -110,25 +21,99 @@ DEFAULT_GYRONORM = {
     "group": "euclidean",
 }
 
+# Models on the complex plane: their dim is 2, and the CLI also reads their
+# points in the form "a+bi".
+COMPLEX_MODELS = ("poincare-disk",)
+
+# One gyronorm of a model.  The suites verify the distance that the engine's
+# unguarded ``norm`` induces, norm(neg x + y); ``metric(u, v)`` is the same
+# distance behind the boundary guards, the one `gyroball dist` prints.
+Gyronorm = namedtuple("Gyronorm", "norm metric")
+
+GYRONORMS = {
+    ("einstein", "rapidity"): Gyronorm(einstein.rapidity_norm_unchecked,
+                                       einstein.rapidity_metric_dE),
+    ("einstein", "euclidean"): Gyronorm(euclidean_norm, einstein.gyrometric_de),
+    ("mobius", "rapidity"): Gyronorm(mobius.rapidity_norm_unchecked,
+                                     mobius.rapidity_metric_dM),
+    ("poincare-disk", "poincare"): Gyronorm(disk.poincare_norm_unchecked,
+                                            disk.poincare_metric),
+    ("group", "euclidean"): Gyronorm(euclidean_norm, core.euclidean_distance),
+    ("group", "discrete"): Gyronorm(core.discrete_norm, core.discrete_distance),
+}
+
+# (from, to) -> map.  A ball model's reference homomorphism, which the
+# table1 suite checks, is its conversion onto its target in _BALLS.
+CONVERSIONS = {
+    ("mobius", "einstein"): mobius.phi,
+    ("einstein", "mobius"): mobius.phi_inv,
+    ("poincare-disk", "mobius"): disk.ball_coordinates,
+    ("mobius", "poincare-disk"): disk.ball_coordinates,
+}
+
+# Ball model -> (addition, closed-form gyration, reference homomorphism target).
+_BALLS = {
+    "einstein": (einstein.einstein_add, einstein.einstein_gyr, "mobius"),
+    "mobius": (mobius.mobius_add, mobius.mobius_gyr, "einstein"),
+    "poincare-disk": (disk.cmobius_add, disk.rotation_gyr, "mobius"),
+}
+
+
+def _ball(name, dim, with_hom=True):
+    add, gyr, target = _BALLS[name]
+    hom = (_ball(target, dim, False), CONVERSIONS[name, target]) if with_hom else None
+    return GyrogroupModel(
+        name=name,
+        dim=dim,
+        add=add,
+        neg=np.negative,
+        sample=lambda rng, count: sample_ball_points(dim, count, rng),
+        closed_gyr=gyr,
+        hom=hom,
+        validate=ensure_in_ball,
+    )
+
+
+def _unknown_model(name):
+    return UnknownNameError(
+        f"unknown model '{name}'; valid models: {', '.join(MODEL_NAMES)}"
+    )
+
+
+def get_model(name, dim=None) -> GyrogroupModel:
+    """Build a registered gyrogroup model, at its default dim when ``dim`` is
+    None, wiring its reference homomorphism."""
+    if dim is not None and dim < 1:
+        raise DomainError(f"dim must be >= 1, got {dim}")
+    if name not in MODEL_NAMES:
+        raise _unknown_model(name)
+    dim = DEFAULT_DIM[name] if dim is None else dim
+    if name in COMPLEX_MODELS and dim != 2:
+        raise DimensionMismatchError(f"model '{name}' requires dim = 2")
+    if name == "group":
+        return core.group_adapter(dim).model
+    return _ball(name, dim)
+
 
 def gyronorm_names(model_name):
-    try:
-        return tuple(_GYRONORMS[model_name])
-    except KeyError:
-        raise UnknownNameError(
-            f"unknown model '{model_name}'; valid models: {', '.join(MODEL_NAMES)}"
-        ) from None
+    if model_name not in MODEL_NAMES:
+        raise _unknown_model(model_name)
+    return tuple(g for m, g in GYRONORMS if m == model_name)
 
 
-def get_normed(model_name, dim=3, gyronorm=None) -> GyronormedModel:
-    """Model plus one of its registered gyronorms (model default when None)."""
-    model = get_model(model_name, dim=dim)
+def resolve_gyronorm(model_name, gyronorm=None):
+    """``gyronorm`` if the model registers it, the model's default when None."""
+    names = gyronorm_names(model_name)
     name = gyronorm or DEFAULT_GYRONORM[model_name]
-    try:
-        factory = _GYRONORMS[model_name][name]
-    except KeyError:
-        valid = ", ".join(gyronorm_names(model_name))
+    if name not in names:
         raise UnknownNameError(
-            f"unknown gyronorm '{name}' for model '{model_name}'; valid: {valid}"
-        ) from None
-    return GyronormedModel(model, name, factory(model))
+            f"unknown gyronorm '{name}' for model '{model_name}'; valid: {', '.join(names)}"
+        )
+    return name
+
+
+def get_normed(model_name, dim=None, gyronorm=None) -> GyronormedModel:
+    """Model plus one of its registered gyronorms (model defaults when None)."""
+    model = get_model(model_name, dim=dim)
+    name = resolve_gyronorm(model_name, gyronorm)
+    return GyronormedModel(model, name, GYRONORMS[model_name, name].norm)

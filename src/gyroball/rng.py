@@ -4,9 +4,6 @@ All sampling in the package flows through numpy's PCG64 generator, a fixed,
 documented 64-bit algorithm: the same seed produces the identical stream of
 draws on every platform.  Reports record the seed they were produced with, so
 any counterexample can be regenerated exactly.
-
-Parallel workers must never share a generator; derive an independent
-substream per worker with :func:`worker_rng`.
 """
 
 import numpy as np
@@ -16,7 +13,3 @@ def make_rng(seed: int) -> np.random.Generator:
     """Generator for the main sample stream of a run."""
     return np.random.Generator(np.random.PCG64(seed))
 
-
-def worker_rng(seed: int, worker: int) -> np.random.Generator:
-    """Independent substream for a parallel worker, derived from (seed, worker)."""
-    return np.random.Generator(np.random.PCG64(seed).jumped(worker))

@@ -32,7 +32,6 @@ from gyroball import (
     rapidity_metric_dM,
     run_suite,
     sample_ball_points,
-    topology_ball_inclusion,
 )
 from gyroball.cli import main
 from gyroball.engine import random_isometry_spec
@@ -150,11 +149,10 @@ def test_criterion_07_metric_ordering_and_topology(capsys):
     u = sample_ball_points(3, 10_000, make_rng(12))
     w = sample_ball_points(3, 10_000, make_rng(13))
     violations = int(np.count_nonzero(gyrometric_de(u, w) > rapidity_metric_dE(u, w)))
-    topo_ok = True
-    for eps in (0.1, 0.5, 1.0):
-        center = sample_ball_points(3, 1, make_rng(14))[0]
-        check = topology_ball_inclusion(center, eps, 1000, make_rng(15))
-        topo_ok = topo_ok and check.passed
+    # The topology suite's matched ball inclusions, with no tolerance.
+    cfg = CheckConfig(samples=10_000, seed=12, atol=0.0, rtol=0.0)
+    topo = run_suite("einstein", "topology", cfg, dim=3)
+    topo_ok = topo.passed and all(p.checked == cfg.samples for p in topo.properties)
     ok = violations == 0 and topo_ok
     _verdict(capsys, "criterion 7: the Euclidean gyrometric never exceeds the "
                      "rapidity metric (0 violations in 10k) and the matched "

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,20 @@ def test_add_parse_error_exits_2(capsys):
     assert code == 2 and "error" in err
 
 
+def run_cli_no_warnings(capsys, *argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(capsys, *argv)
+
+
+def test_add_overflow_exits_2(capsys):
+    code, out, err = run_cli_no_warnings(capsys, "add", "--model", "group",
+                                         "--u", "1e308,1e308", "--v", "1e308,1e308")
+    assert code == 2
+    assert out == ""
+    assert err == "error: result inf,inf is not finite\n"
+
+
 def test_add_dimension_mismatch_exits_2(capsys):
     code, _, _ = run_cli(capsys, "add", "--model", "einstein",
                          "--u", "0.1,0", "--v", "0.1,0,0")
@@ -101,6 +116,14 @@ def test_dist_unknown_gyronorm_exits_2(capsys):
     code, _, err = run_cli(capsys, "dist", "--model", "mobius",
                            "--gyronorm", "poincare", "--u", "0,0,0", "--v", "0.1,0,0")
     assert code == 2 and "rapidity" in err
+
+
+def test_dist_overflow_exits_2(capsys):
+    code, out, err = run_cli_no_warnings(capsys, "dist", "--model", "group",
+                                         "--u", "1e308,0", "--v", "-1e308,0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: result inf is not finite\n"
 
 
 # --- convert -----------------------------------------------------------------

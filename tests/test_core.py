@@ -8,14 +8,12 @@ from gyroball import (
     LeftInvarianceError,
     LeftTranslation,
     apply_isometry,
-    discrete_gyronorm,
     get_model,
     get_normed,
     group_adapter,
     gyr_via_gyrator_identity,
     gyronorm_from_metric,
     homogeneity_witness,
-    induced_metric,
     isotropy_witness,
     make_rng,
     mazur_ulam_decompose,
@@ -56,7 +54,7 @@ def test_einstein_collinear_gyration_is_identity(einstein2):
 
 
 def test_induced_metric_basics(einstein2):
-    d = induced_metric(einstein2)
+    d = einstein2.distance
     x = np.array([0.5, 0.0])
     assert d(x, x) == pytest.approx(0.0, abs=1e-12)
     assert d(einstein2.model.identity, x) == pytest.approx(einstein2.norm(x))
@@ -73,7 +71,7 @@ def test_group_adapter_is_plain_vector_arithmetic():
 
 
 def test_discrete_gyronorm_is_discrete_metric():
-    nm = discrete_gyronorm(group_adapter(3).model)
+    nm = get_normed("group", dim=3, gyronorm="discrete")
     e = nm.model.identity
     assert nm.norm(e) == 0.0
     assert nm.norm(np.array([0.2, 0.0, 0.0])) == 1.0
@@ -168,7 +166,7 @@ def test_gyronorm_from_metric_recovers_poincare_norm(disk):
 
 
 def test_gyronorm_from_metric_round_trip(einstein2):
-    d = induced_metric(einstein2)
+    d = einstein2.distance
     norm = gyronorm_from_metric(einstein2.model, d, rng=make_rng(4))
     x = einstein2.model.sample(make_rng(5), 500)
     assert np.array_equal(norm(x), einstein2.norm(x))

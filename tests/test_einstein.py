@@ -6,6 +6,7 @@ import pytest
 import mp_oracle
 from gyroball import (
     BoundaryError,
+    CheckConfig,
     einstein_add,
     euclidean_norm,
     get_model,
@@ -15,9 +16,9 @@ from gyroball import (
     make_rng,
     phi_inv,
     rapidity_metric_dE,
+    run_suite,
     sample_ball_points,
     scalar_einstein_add,
-    topology_ball_inclusion,
 )
 
 
@@ -95,20 +96,22 @@ def test_two_step_subadditivity_chain():
     assert np.all(middle <= nu + nv + 1e-12)
 
 
-@pytest.mark.parametrize("eps,u", [
-    (0.5, [0.0, 0.0]),
-    (0.2, [0.3, 0.1]),
-    (1.0, [0.0, 0.5]),
-])
-def test_topology_ball_inclusion(eps, u):
-    check = topology_ball_inclusion(np.array(u), eps, 1000, make_rng(77))
-    assert check.passed, check.violations[:3]
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_topology_ball_inclusion(dim):
+    # d_e(u, w) < tanh(eps) forces d_E(u, w) <= eps, and d_e <= d_E, for eps
+    # in {0.1, 0.5, 1.0} and with no tolerance at all.
+    for seed in (1, 12, 42, 77):
+        cfg = CheckConfig(samples=10_000, seed=seed, atol=0.0, rtol=0.0)
+        report = run_suite("einstein", "topology", cfg, dim=dim)
+        assert report.passed, report.to_json()
+        assert all(p.checked == cfg.samples for p in report.properties)
 
 
 def test_topology_check_is_deterministic():
-    a = topology_ball_inclusion(np.zeros(2), 0.5, 100, make_rng(1))
-    b = topology_ball_inclusion(np.zeros(2), 0.5, 100, make_rng(1))
-    assert a.passed == b.passed and a.violations == b.violations
+    cfg = CheckConfig(samples=100, seed=1, atol=0.0, rtol=0.0)
+    a = run_suite("einstein", "topology", cfg, dim=2)
+    b = run_suite("einstein", "topology", cfg, dim=2)
+    assert a.to_json() == b.to_json()
 
 
 def test_left_invariance_of_both_metrics():

@@ -1,0 +1,67 @@
+import numpy as np
+import pytest
+
+from gyroball import CheckConfig, cli, get_model, get_normed, make_rng, run_suite
+from gyroball.registry import (
+    COMPLEX_MODELS,
+    CONVERSIONS,
+    DEFAULT_DIM,
+    DEFAULT_GYRONORM,
+    GYRONORMS,
+    MODEL_NAMES,
+    gyronorm_names,
+)
+from gyroball.vectors import sample_ball_points
+
+
+@pytest.mark.parametrize("key", list(GYRONORMS), ids="-".join)
+def test_public_metric_equals_engine_distance_bitwise(key):
+    # `gyroball dist` prints the guarded metric, the suites verify the
+    # distance the unguarded norm induces: inside the guard they are one.
+    model, gyronorm = key
+    for dim in (2,) if model in COMPLEX_MODELS else (1, 2, 3, 4):
+        rng = make_rng(dim)
+        u = sample_ball_points(dim, 500, rng, cap=0.95)
+        v = sample_ball_points(dim, 500, rng, cap=0.95)
+        public = np.asarray(GYRONORMS[key].metric(u, v), dtype=float)
+        engine = np.asarray(get_normed(model, dim, gyronorm).distance(u, v), dtype=float)
+        assert public.shape == engine.shape == (500,)
+        assert public.tobytes() == engine.tobytes(), (key, dim)
+
+
+def test_every_model_has_a_default_dim_and_a_registered_default_gyronorm():
+    assert set(DEFAULT_DIM) == set(DEFAULT_GYRONORM) == set(MODEL_NAMES)
+    assert {m for m, _ in GYRONORMS} == set(MODEL_NAMES)
+    for model in MODEL_NAMES:
+        assert DEFAULT_GYRONORM[model] in gyronorm_names(model)
+        nm = get_normed(model)
+        assert nm.model.dim == DEFAULT_DIM[model]
+        assert nm.norm_name == DEFAULT_GYRONORM[model]
+
+
+def test_disk_runs_at_its_default_dim():
+    assert get_model("poincare-disk").dim == 2
+    assert get_normed("poincare-disk").model.dim == 2
+    report = run_suite("poincare-disk", "klee", CheckConfig(samples=200))
+    assert report.dim == 2
+    assert report.to_json() == run_suite("poincare-disk", "klee",
+                                         CheckConfig(samples=200), dim=2).to_json()
+
+
+def test_ball_homomorphisms_come_from_the_conversion_table():
+    for model in MODEL_NAMES:
+        m = get_model(model, dim=2)
+        target, f = m.hom
+        if model == "group":
+            assert target.name == "group"
+        else:
+            assert f is CONVERSIONS[model, target.name]
+        assert target.hom is None
+
+
+def test_cli_tables_are_the_registry_tables():
+    assert cli._ROUTES is CONVERSIONS
+    assert cli._METRICS == {key: g.metric for key, g in GYRONORMS.items()}
+    # Plain functions of the package: a tracer can name each by its module.
+    for fn in list(cli._METRICS.values()) + list(cli._ROUTES.values()):
+        assert fn.__module__.startswith("gyroball.") and fn.__name__ != "<lambda>"
