@@ -12,7 +12,6 @@ from .core import (
     IsometrySpec,
     LeftTranslation,
     apply_isometry,
-    group_adapter,
     gyr_via_gyrator_identity,
     gyronorm_from_metric,
     homogeneity_witness,
@@ -23,7 +22,6 @@ from .disk import (
     cmobius_add,
     cmobius_gyr_factor,
     disk_gyronorm,
-    mobius_transformation,
     poincare_metric,
 )
 from .einstein import (
@@ -47,13 +45,11 @@ from .mobius import gyronorm_M, mobius_add, phi, phi_inv, rapidity_metric_dM
 from .registry import MODEL_NAMES, get_model, get_normed
 from .rng import make_rng
 from .vectors import (
-    Tolerance,
     atanh_guarded,
     ball_point,
     euclidean_norm,
     inner_product,
     lorentz_gamma,
-    sample_ball_point,
     sample_ball_points,
     scalar_einstein_add,
 )

@@ -10,14 +10,17 @@ isometries are built generically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DegeneracyError, LeftInvarianceError
 from .rng import make_rng
-from .vectors import Tolerance, euclidean_norm, sample_ball_points
+from .vectors import DEFAULT_ATOL, DEFAULT_RTOL, euclidean_norm
+
+# Sampled triples (a, x, y) on which gyronorm_from_metric checks left invariance.
+INVARIANCE_SAMPLES = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,20 +88,21 @@ class GyronormedModel:
         return self.norm(m.add(m.neg(x), y))
 
 
-def gyronorm_from_metric(m, d, rng=None, check_samples=200, tol=None):
+def gyronorm_from_metric(m, d, rng=None):
     """Recover the gyronorm x -> d(e, x) from a left-invariant metric.
 
     Left invariance is checked on sampled triples, not assumed; a violation
-    beyond tolerance raises LeftInvarianceError carrying the witness.
+    beyond the default tolerance raises LeftInvarianceError carrying the
+    witness.
     """
-    tol = tol or Tolerance()
     rng = rng if rng is not None else make_rng(0)
-    a = m.sample(rng, check_samples)
-    x = m.sample(rng, check_samples)
-    y = m.sample(rng, check_samples)
+    a = m.sample(rng, INVARIANCE_SAMPLES)
+    x = m.sample(rng, INVARIANCE_SAMPLES)
+    y = m.sample(rng, INVARIANCE_SAMPLES)
     lhs = np.asarray(d(m.add(a, x), m.add(a, y)), dtype=float)
     rhs = np.asarray(d(x, y), dtype=float)
-    excess = np.abs(lhs - rhs) - (tol.atol + tol.rtol * np.maximum(np.abs(lhs), np.abs(rhs)))
+    bound = DEFAULT_ATOL + DEFAULT_RTOL * np.maximum(np.abs(lhs), np.abs(rhs))
+    excess = np.abs(lhs - rhs) - bound
     if np.any(excess > 0.0):
         i = int(np.argmax(excess))
         raise LeftInvarianceError(
@@ -141,25 +145,12 @@ class IsometrySpec:
     """Finite composition of primitive isometries, applied left to right.
 
     The empty sequence is the identity map.  Kept as explicit data (rather
-    than an opaque callable) so decompositions can read off f(e) and specs
-    can be serialized into reports.
+    than an opaque callable) so decompositions can read off f(e) and extend
+    a map by further steps.  Step points may be batches of shape (N, n), one
+    map per row.
     """
 
     steps: tuple = ()
-
-    def describe(self):
-        out = []
-        for step in self.steps:
-            if isinstance(step, LeftTranslation):
-                out.append({"left_translation": np.asarray(step.point).tolist()})
-            else:
-                out.append({
-                    "gyration": {
-                        "a": np.asarray(step.a).tolist(),
-                        "b": np.asarray(step.b).tolist(),
-                    }
-                })
-        return out
 
 
 def apply_isometry(m: GyrogroupModel, spec: IsometrySpec, x):
@@ -180,26 +171,29 @@ def homogeneity_witness(m: GyrogroupModel, x, y) -> IsometrySpec:
                          LeftTranslation(np.asarray(y, dtype=float))))
 
 
-def isotropy_witness(m: GyrogroupModel, p, a, b, probes=None, tol=None) -> IsometrySpec:
-    """Nonidentity isometry fixing p, conjugating the gyration gyr[a, b].
-
-    Raises DegeneracyError when gyr[a, b] is the identity map on all probe
-    points, as happens for every gyration of a plain group.
-    """
-    tol = tol or Tolerance()
-    if probes is None:
-        probes = m.sample(make_rng(0), 8)
-    moved = euclidean_norm(m.gyr(a, b, probes) - probes)
-    bound = tol.atol + tol.rtol * euclidean_norm(probes)
-    if np.all(moved <= bound):
-        raise DegeneracyError(
-            "gyr[a, b] is the identity map on all probe points; "
-            "no nonidentity isometry can be built from it"
-        )
+def isotropy_spec(m: GyrogroupModel, p, a, b) -> IsometrySpec:
+    """L_p o gyr[a, b] o L_{neg p}, an isometry fixing p; the identity map
+    when gyr[a, b] is."""
     p = np.asarray(p, dtype=float)
     return IsometrySpec((LeftTranslation(m.neg(p)), Gyration(np.asarray(a, dtype=float),
                                                              np.asarray(b, dtype=float)),
                          LeftTranslation(p)))
+
+
+def isotropy_witness(m: GyrogroupModel, p, a, b) -> IsometrySpec:
+    """Nonidentity isometry fixing p, conjugating the gyration gyr[a, b].
+
+    Raises DegeneracyError when gyr[a, b] is the identity map on 8 sampled
+    probe points, as happens for every gyration of a plain group.
+    """
+    probes = m.sample(make_rng(0), 8)
+    moved = euclidean_norm(m.gyr(a, b, probes) - probes)
+    if np.all(moved <= DEFAULT_ATOL + DEFAULT_RTOL * euclidean_norm(probes)):
+        raise DegeneracyError(
+            "gyr[a, b] is the identity map on all probe points; "
+            "no nonidentity isometry can be built from it"
+        )
+    return isotropy_spec(m, p, a, b)
 
 
 def mazur_ulam_decompose(nm: GyronormedModel, f: IsometrySpec):
@@ -214,29 +208,23 @@ def mazur_ulam_decompose(nm: GyronormedModel, f: IsometrySpec):
     return t, rho
 
 
-# --- degenerate fixtures -----------------------------------------------------
+# --- the plain group (R^n, +), a gyrogroup with trivial gyrations -----------
 
-def group_adapter(n: int) -> GyronormedModel:
-    """(R^n, +) viewed as a gyrogroup with trivial gyrations.
+def group_add(a, b):
+    return np.asarray(a, dtype=float) + np.asarray(b, dtype=float)
 
-    The Euclidean norm is its gyronorm and the induced metric is the
-    Euclidean distance.  Sampling stays in the capped unit ball so the same
-    tolerances apply as for the curved models.
-    """
-    base = GyrogroupModel(
-        name="group",
-        dim=n,
-        add=lambda a, b: np.asarray(a, dtype=float) + np.asarray(b, dtype=float),
-        neg=lambda a: -np.asarray(a, dtype=float),
-        sample=lambda rng, count: sample_ball_points(n, count, rng),
-        closed_gyr=lambda a, b, c: np.broadcast_to(
-            np.asarray(c, dtype=float),
-            np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c)),
-        ).copy(),
-    )
-    # The doubling automorphism is the reference homomorphism of the adapter.
-    model = replace(base, hom=(base, lambda v: 2.0 * np.asarray(v, dtype=float)))
-    return GyronormedModel(model, "euclidean", euclidean_norm)
+
+def group_gyr(a, b, c):
+    """Every gyration of a group is the identity map."""
+    return np.broadcast_to(
+        np.asarray(c, dtype=float),
+        np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c)),
+    ).copy()
+
+
+def double(v):
+    """v -> 2v, an automorphism of the group."""
+    return 2.0 * np.asarray(v, dtype=float)
 
 
 def euclidean_distance(u, v):

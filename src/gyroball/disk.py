@@ -73,11 +73,6 @@ def disk_gyronorm(z):
     return 2.0 * atanh_guarded(euclidean_norm(z))
 
 
-def mobius_transformation(a, z):
-    """Conformal self-map z -> (a + z) / (1 + conj(a) z); a Poincare isometry."""
-    return cmobius_add(a, z)
-
-
 def poincare_norm_unchecked(z):
     """Engine-facing disk gyronorm; no boundary guard."""
     return 2.0 * arctanh_unchecked(euclidean_norm(z))

@@ -24,15 +24,24 @@ from .core import (
     LeftTranslation,
     apply_isometry,
     gyr_via_gyrator_identity,
+    homogeneity_witness,
+    isotropy_spec,
     mazur_ulam_decompose,
 )
+# Unused here; bench/tracing.py patches this name.
 from .einstein import einstein_add
 from .errors import DomainError, SamplingHealthError, UnknownNameError
-from .registry import MODEL_NAMES, get_normed
+from .registry import GYRONORMS, MODEL_NAMES, TOPOLOGY_GYRONORMS, get_normed
 from .rng import make_rng
-from .vectors import arctanh_unchecked, euclidean_norm, sample_ball_points
+from .vectors import DEFAULT_ATOL, DEFAULT_RTOL, euclidean_norm, sample_ball_points
 
 MAX_SKIP_FRACTION = 0.01
+
+# Counterexamples recorded per property.
+MAX_FAILURES = 10
+
+# Most steps of the random isometry that the mazur-ulam suite decomposes.
+ISOMETRY_STEPS = 4
 
 # Directions of the "norm zero implies identity" check: exact zeros are
 # measure-zero under sampling, so anything below this floor must sit at e.
@@ -48,11 +57,9 @@ BLOCK_ELEMENTS = 1 << 18
 class CheckConfig:
     samples: int = 10000
     seed: int = 42
-    atol: float = 1e-9
-    rtol: float = 1e-9
+    atol: float = DEFAULT_ATOL
+    rtol: float = DEFAULT_RTOL
     probes: int = 32  # probe points per function-equality check
-    positivity_floor: float = POSITIVITY_FLOOR
-    max_failures: int = 10  # counterexamples recorded per property
 
     def __post_init__(self):
         # A suite that checks no row passes vacuously, a NaN tolerance fails
@@ -231,7 +238,7 @@ class _SuiteRun:
             v = np.asarray(v)
             return np.broadcast_to(v, lead + v.shape[len(lead):])[np.unravel_index(i, lead)]
 
-        for i in fail_idx[: cfg.max_failures - len(res.failures)]:
+        for i in fail_idx[: MAX_FAILURES - len(res.failures)]:
             diff = row(err, i)
             if mode == "le":
                 diff = np.maximum(diff, 0.0)
@@ -348,7 +355,7 @@ def suite_gyronorm(nm, cfg):
     nxe = norm(xe)
     # 0 * nxe keeps a non-finite norm a non-finite (skipped) row.
     run.equal("positivity-zero-iff-identity", {"x": xe},
-              np.where(nxe < cfg.positivity_floor, euclidean_norm(xe), 0.0 * nxe),
+              np.where(nxe < POSITIVITY_FLOOR, euclidean_norm(xe), 0.0 * nxe),
               np.zeros(cfg.samples + 1))
     run.equal("inverse-invariance", {"x": x}, norm(m.neg(x)), nx)
     run.less_equal("subadditivity", {"x": x, "y": y},
@@ -368,7 +375,7 @@ def suite_metric(nm, cfg):
     pair_y = np.vstack([x, y])
     lhs = np.concatenate([
         d(x, x),
-        np.where(dxy < cfg.positivity_floor, euclidean_norm(x - y), 0.0 * dxy),
+        np.where(dxy < POSITIVITY_FLOOR, euclidean_norm(x - y), 0.0 * dxy),
     ])
     run.equal("identity-of-indiscernibles", {"x": pair_x, "y": pair_y},
               lhs, np.zeros(2 * cfg.samples))
@@ -438,10 +445,10 @@ def suite_commutative_like(nm, cfg):
     return run
 
 
-def random_isometry_spec(m, rng, max_steps=4) -> IsometrySpec:
-    """Random 1..max_steps composition of translations and gyrations."""
+def random_isometry_spec(m, rng) -> IsometrySpec:
+    """Random 1..ISOMETRY_STEPS composition of translations and gyrations."""
     steps = []
-    for _ in range(int(rng.integers(1, max_steps + 1))):
+    for _ in range(int(rng.integers(1, ISOMETRY_STEPS + 1))):
         if int(rng.integers(0, 2)) == 0:
             steps.append(LeftTranslation(m.sample(rng, 1)[0]))
         else:
@@ -450,11 +457,10 @@ def random_isometry_spec(m, rng, max_steps=4) -> IsometrySpec:
     return IsometrySpec(tuple(steps))
 
 
-def suite_mazur_ulam(nm, cfg, f=None):
+def suite_mazur_ulam(nm, cfg):
     run = _SuiteRun(nm, cfg)
     m, d = run.m, nm.distance
-    if f is None:
-        f = random_isometry_spec(m, run.rng)
+    f = random_isometry_spec(m, run.rng)
     t, rho = mazur_ulam_decompose(nm, f)
     e = m.identity
     run.equal("rho-fixes-identity", {"e": e[None, :]},
@@ -474,12 +480,10 @@ def suite_homogeneity_isotropy(nm, cfg):
     x, y = run.draw(cfg.samples), run.draw(cfg.samples)
     u, v = run.draw(cfg.samples), run.draw(cfg.samples)
     # T = L_y o L_{neg x} maps x to y and is an isometry.
-    run.equal("homogeneity-maps-x-to-y", {"x": x, "y": y},
-              m.add(y, m.add(m.neg(x), x)), y)
-    Tu = m.add(y, m.add(m.neg(x), u))
-    Tv = m.add(y, m.add(m.neg(x), v))
+    T = homogeneity_witness(m, x, y)
+    run.equal("homogeneity-maps-x-to-y", {"x": x, "y": y}, apply_isometry(m, T, x), y)
     run.equal("homogeneity-witness-isometry", {"x": x, "y": y, "u": u, "v": v},
-              d(Tu, Tv), d(u, v))
+              d(apply_isometry(m, T, u), apply_isometry(m, T, v)), d(u, v))
 
     a, b, p = run.draw(cfg.samples), run.draw(cfg.samples), run.draw(cfg.samples)
     probes = run.draw(cfg.probes)
@@ -496,12 +500,10 @@ def suite_homogeneity_isotropy(nm, cfg):
         return run
     # T = L_p o gyr[a, b] o L_{neg p} fixes p, is an isometry, and is not
     # the identity map whenever the gyration moves some probe.
-    Tp = m.add(p, m.gyr(a, b, m.add(m.neg(p), p)))
-    run.equal("isotropy-fixes-p", {"p": p, "a": a, "b": b}, Tp, p)
-    Tu2 = m.add(p, m.gyr(a, b, m.add(m.neg(p), u)))
-    Tv2 = m.add(p, m.gyr(a, b, m.add(m.neg(p), v)))
+    T = isotropy_spec(m, p, a, b)
+    run.equal("isotropy-fixes-p", {"p": p, "a": a, "b": b}, apply_isometry(m, T, p), p)
     run.equal("isotropy-witness-isometry", {"p": p, "a": a, "b": b, "u": u, "v": v},
-              d(Tu2, Tv2), d(u, v))
+              d(apply_isometry(m, T, u), apply_isometry(m, T, v)), d(u, v))
     run.equal("isotropy-moves-a-probe", {"a": a, "b": b},
               row_moved.astype(float), np.ones(cfg.samples),
               note="1.0 means gyr[a, b] moved at least one probe point")
@@ -509,15 +511,18 @@ def suite_homogeneity_isotropy(nm, cfg):
 
 
 def suite_topology(nm, cfg):
-    """Einstein-only: tanh(eps)-radius ball inclusions between d_e and d_E."""
+    """tanh(eps)-radius ball inclusions between the metrics d_e and d_E of the
+    two TOPOLOGY_GYRONORMS."""
     run = _SuiteRun(nm, cfg)
-    n = run.m.dim
+    m = run.m
+    norm_e, norm_E = (GYRONORMS[m.name, g].norm for g in TOPOLOGY_GYRONORMS)
     for eps in (0.1, 0.5, 1.0):
         u = run.draw(cfg.samples)
-        s = sample_ball_points(n, cfg.samples, run.rng, cap=np.tanh(eps) * (1.0 - 1e-9))
-        w = einstein_add(u, s)
-        de = euclidean_norm(einstein_add(-u, w))
-        dE = arctanh_unchecked(de)
+        s = sample_ball_points(m.dim, cfg.samples, run.rng, cap=np.tanh(eps) * (1.0 - 1e-9))
+        w = m.add(u, s)
+        z = m.add(m.neg(u), w)
+        de = norm_e(z)
+        dE = norm_E(z)
         run.less_equal(f"ball-inclusion-eps-{eps}", {"u": u, "w": w},
                        dE, np.full(cfg.samples, eps))
         run.less_equal(f"gyrometric-below-rapidity-eps-{eps}", {"u": u, "w": w},
@@ -550,10 +555,10 @@ def run_suite(model_name, suite_name, cfg=None, dim=None, gyronorm=None) -> Chec
         raise UnknownNameError(
             f"unknown suite '{suite_name}'; valid suites: {', '.join(SUITE_NAMES)}"
         )
-    if suite_name == "topology" and model_name != "einstein":
-        raise UnknownNameError(
-            "suite 'topology' is defined only for model 'einstein'"
-        )
+    admitted = [m for m in MODEL_NAMES if all((m, g) in GYRONORMS for g in TOPOLOGY_GYRONORMS)]
+    if suite_name == "topology" and model_name not in admitted:
+        raise UnknownNameError("suite 'topology' is defined only for model "
+                               + " or ".join(f"'{m}'" for m in admitted))
     nm = get_normed(model_name, dim=dim, gyronorm=gyronorm)
     run = _SUITES[suite_name](nm, cfg)
     report = CheckReport(

@@ -42,8 +42,12 @@ GYRONORMS = {
     ("group", "discrete"): Gyronorm(core.discrete_norm, core.discrete_distance),
 }
 
+# The suite `topology` compares the balls of these two gyronorms, and runs
+# on every model that registers both.
+TOPOLOGY_GYRONORMS = ("euclidean", "rapidity")
+
 # (from, to) -> map.  A ball model's reference homomorphism, which the
-# table1 suite checks, is its conversion onto its target in _BALLS.
+# table1 suite checks, is its conversion onto its target in _MODELS.
 CONVERSIONS = {
     ("mobius", "einstein"): mobius.phi,
     ("einstein", "mobius"): mobius.phi_inv,
@@ -51,17 +55,22 @@ CONVERSIONS = {
     ("mobius", "poincare-disk"): disk.ball_coordinates,
 }
 
-# Ball model -> (addition, closed-form gyration, reference homomorphism target).
-_BALLS = {
-    "einstein": (einstein.einstein_add, einstein.einstein_gyr, "mobius"),
-    "mobius": (mobius.mobius_add, mobius.mobius_gyr, "einstein"),
-    "poincare-disk": (disk.cmobius_add, disk.rotation_gyr, "mobius"),
+# Model -> (addition, closed-form gyration, point check, reference
+# homomorphism target).  The plain group (R^n, +) has no boundary to guard,
+# and its reference homomorphism is doubling.  Every model samples points in
+# the capped unit ball, so the same tolerances apply to all of them.
+_MODELS = {
+    "einstein": (einstein.einstein_add, einstein.einstein_gyr, ensure_in_ball, "mobius"),
+    "mobius": (mobius.mobius_add, mobius.mobius_gyr, ensure_in_ball, "einstein"),
+    "poincare-disk": (disk.cmobius_add, disk.rotation_gyr, ensure_in_ball, "mobius"),
+    "group": (core.group_add, core.group_gyr, None, "group"),
 }
+_HOMS = {**CONVERSIONS, ("group", "group"): core.double}
 
 
-def _ball(name, dim, with_hom=True):
-    add, gyr, target = _BALLS[name]
-    hom = (_ball(target, dim, False), CONVERSIONS[name, target]) if with_hom else None
+def _build(name, dim, with_hom=True):
+    add, gyr, validate, target = _MODELS[name]
+    hom = (_build(target, dim, False), _HOMS[name, target]) if with_hom else None
     return GyrogroupModel(
         name=name,
         dim=dim,
@@ -70,7 +79,7 @@ def _ball(name, dim, with_hom=True):
         sample=lambda rng, count: sample_ball_points(dim, count, rng),
         closed_gyr=gyr,
         hom=hom,
-        validate=ensure_in_ball,
+        validate=validate,
     )
 
 
@@ -90,9 +99,7 @@ def get_model(name, dim=None) -> GyrogroupModel:
     dim = DEFAULT_DIM[name] if dim is None else dim
     if name in COMPLEX_MODELS and dim != 2:
         raise DimensionMismatchError(f"model '{name}' requires dim = 2")
-    if name == "group":
-        return core.group_adapter(dim).model
-    return _ball(name, dim)
+    return _build(name, dim)
 
 
 def gyronorm_names(model_name):

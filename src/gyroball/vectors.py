@@ -4,8 +4,6 @@ All kernels operate on the trailing axis, so the same function serves a
 single point of shape ``(n,)`` and a batch of shape ``(N, n)``.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BoundaryError, DimensionMismatchError, DomainError
@@ -22,22 +20,10 @@ SAMPLE_RADIUS_CAP = 0.95
 # and rotated by per-pair n x n matrices; from about 8 on, O(n) work wins.
 SHORT_AXIS = 8
 
+# Values a and b agree when |a - b| <= DEFAULT_ATOL + DEFAULT_RTOL * max(|a|, |b|)
+# unless a check is given other tolerances.
 DEFAULT_ATOL = 1e-9
 DEFAULT_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Comparison rule |a - b| <= atol + rtol * max(|a|, |b|), coordinatewise."""
-
-    atol: float = DEFAULT_ATOL
-    rtol: float = DEFAULT_RTOL
-
-    def close(self, a, b) -> bool:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        bound = self.atol + self.rtol * np.maximum(np.abs(a), np.abs(b))
-        return bool(np.all(np.abs(a - b) <= bound))
 
 
 def promote_float(v) -> np.ndarray:
@@ -170,8 +156,3 @@ def sample_ball_points(n, count, rng, cap=SAMPLE_RADIUS_CAP):
     z /= lengths
     z *= cap * u ** (1.0 / n)
     return z
-
-
-def sample_ball_point(n, rng, cap=SAMPLE_RADIUS_CAP):
-    """Single draw; see sample_ball_points for the distribution."""
-    return sample_ball_points(n, 1, rng, cap=cap)[0]

@@ -10,7 +10,6 @@ from gyroball import (
     apply_isometry,
     get_model,
     get_normed,
-    group_adapter,
     gyr_via_gyrator_identity,
     gyronorm_from_metric,
     homogeneity_witness,
@@ -62,7 +61,7 @@ def test_induced_metric_basics(einstein2):
 
 
 def test_group_adapter_is_plain_vector_arithmetic():
-    nm = group_adapter(2)
+    nm = get_normed("group", dim=2)
     m = nm.model
     assert np.array_equal(m.add([1, 2], [3, 4]), [4, 6])
     c = np.array([0.7, -0.2])
@@ -113,7 +112,7 @@ def test_isotropy_witness_fixes_point(einstein2):
 
 
 def test_isotropy_witness_degeneracy_error():
-    m = group_adapter(2).model
+    m = get_normed("group", dim=2).model
     with pytest.raises(DegeneracyError):
         isotropy_witness(m, np.array([0.1, 0.1]), np.array([0.3, 0.0]),
                          np.array([0.0, 0.3]))
@@ -173,7 +172,7 @@ def test_gyronorm_from_metric_round_trip(einstein2):
 
 
 def test_gyronorm_from_metric_on_abelian_group():
-    m = group_adapter(3).model
+    m = get_normed("group", dim=3).model
     norm = gyronorm_from_metric(m, lambda x, y: euclidean_norm(np.asarray(y) - np.asarray(x)))
     x = m.sample(make_rng(6), 200)
     assert np.allclose(norm(x), euclidean_norm(x))
@@ -186,13 +185,3 @@ def test_gyronorm_from_metric_rejects_non_invariant_metric():
         gyronorm_from_metric(m, lambda x, y: euclidean_norm(np.asarray(y) - np.asarray(x)),
                              rng=make_rng(2))
     assert {"a", "x", "y", "d_translated", "d_original"} <= set(exc.value.witness)
-
-
-def test_isometry_spec_serializes():
-    spec = IsometrySpec((
-        LeftTranslation(np.array([0.1, 0.2])),
-        Gyration(np.array([0.3, 0.0]), np.array([0.0, 0.3])),
-    ))
-    desc = spec.describe()
-    assert desc[0] == {"left_translation": [0.1, 0.2]}
-    assert desc[1]["gyration"]["a"] == [0.3, 0.0]

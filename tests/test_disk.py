@@ -11,7 +11,6 @@ from gyroball import (
     euclidean_norm,
     get_normed,
     make_rng,
-    mobius_transformation,
     poincare_metric,
     sample_ball_points,
 )
@@ -105,8 +104,8 @@ def test_transformation_is_isometry():
     a = np.array([0.3, -0.2])
     w = sample_ball_points(2, 2000, rng)
     z = sample_ball_points(2, 2000, rng)
-    assert np.allclose(poincare_metric(mobius_transformation(a, w),
-                                       mobius_transformation(a, z)),
+    assert np.allclose(poincare_metric(cmobius_add(a, w),
+                                       cmobius_add(a, z)),
                        poincare_metric(w, z), atol=1e-9)
 
 

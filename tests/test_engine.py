@@ -5,8 +5,11 @@ import pytest
 
 from gyroball import (
     CheckConfig,
+    Gyration,
     GyrogroupModel,
     GyronormedModel,
+    IsometrySpec,
+    LeftTranslation,
     SamplingHealthError,
     UnknownNameError,
     einstein_add,
@@ -210,6 +213,36 @@ def test_topology_suite_runs_on_einstein():
     assert "gyrometric-below-rapidity-eps-1.0" in names
 
 
+def test_topology_runs_on_every_model_that_registers_both_gyronorms(monkeypatch):
+    # The admitted models and the two compared norms come from the registry.
+    from gyroball import registry
+    monkeypatch.setitem(registry.GYRONORMS, ("mobius", "euclidean"),
+                        registry.GYRONORMS["einstein", "euclidean"])
+    report = run_suite("mobius", "topology", CheckConfig(samples=1000))
+    assert report.model == "mobius" and report.passed
+    assert [p.name for p in report.properties] == [
+        p.name for p in run_suite("einstein", "topology", CheckConfig(samples=1000)).properties]
+    with pytest.raises(UnknownNameError,
+                       match="^suite 'topology' is defined only for model 'einstein' or 'mobius'$"):
+        run_suite("group", "topology", FAST)
+
+
+def test_homogeneity_isotropy_checks_the_core_witnesses(monkeypatch):
+    # A witness that skips its L_{neg x} (or its final L_p) step no longer
+    # maps x to y (or fixes p), and the suite must say so.
+    def failing(report):
+        return {p.name for p in report.properties if p.status == "fail"}
+
+    assert failing(run_suite("einstein", "homogeneity-isotropy", FAST)) == set()
+    monkeypatch.setattr("gyroball.engine.homogeneity_witness",
+                        lambda m, x, y: IsometrySpec((LeftTranslation(y),)))
+    monkeypatch.setattr("gyroball.engine.isotropy_spec",
+                        lambda m, p, a, b: IsometrySpec((LeftTranslation(m.neg(p)),
+                                                         Gyration(a, b))))
+    assert failing(run_suite("einstein", "homogeneity-isotropy", FAST)) == {
+        "homogeneity-maps-x-to-y", "isotropy-fixes-p"}
+
+
 # --- probe checks: broadcast (N, 1, n) x (1, P, n) rows ----------------------
 
 BROADCAST_MODELS = (("einstein", 1), ("einstein", 3), ("einstein", 5),
@@ -297,7 +330,8 @@ def test_blocked_probe_checks_match_one_block(monkeypatch, suite, model, dim, pa
     # and three witnesses per property, blocks of one pair put witnesses, and
     # the cutoff after the third, into different blocks; blocks of seven
     # leave a short last block.
-    cfg = CheckConfig(samples=40, seed=3, atol=1e-17, rtol=0.0, probes=2, max_failures=3)
+    monkeypatch.setattr("gyroball.engine.MAX_FAILURES", 3)
+    cfg = CheckConfig(samples=40, seed=3, atol=1e-17, rtol=0.0, probes=2)
     whole = run_suite(model, suite, cfg, dim=dim)
     monkeypatch.setattr("gyroball.engine.BLOCK_ELEMENTS", pairs * cfg.probes * dim)
     blocked = run_suite(model, suite, cfg, dim=dim)

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gyroball
 from gyroball import CheckConfig, cli, get_model, get_normed, make_rng, run_suite
 from gyroball.registry import (
     COMPLEX_MODELS,
@@ -65,3 +69,15 @@ def test_cli_tables_are_the_registry_tables():
     # Plain functions of the package: a tracer can name each by its module.
     for fn in list(cli._METRICS.values()) + list(cli._ROUTES.values()):
         assert fn.__module__.startswith("gyroball.") and fn.__name__ != "<lambda>"
+
+
+def test_only_the_registry_names_a_model_or_gyronorm():
+    names = set(MODEL_NAMES) | {g for _, g in GYRONORMS}
+    found = []
+    for path in sorted(Path(gyroball.__file__).parent.glob("*.py")):
+        if path.name == "registry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and node.value in names:
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert not found, found

@@ -7,14 +7,12 @@ from gyroball import (
     BoundaryError,
     DimensionMismatchError,
     DomainError,
-    Tolerance,
     atanh_guarded,
     ball_point,
     euclidean_norm,
     inner_product,
     lorentz_gamma,
     make_rng,
-    sample_ball_point,
     sample_ball_points,
     scalar_einstein_add,
 )
@@ -93,15 +91,14 @@ def test_scalar_einstein_add_examples():
 
 def test_scalar_einstein_add_commutative_associative():
     rng = make_rng(7)
-    tol = Tolerance()
     r, s, t = (rng.uniform(-0.95, 0.95, 10000) for _ in range(3))
     for i in range(10000):
         ab = scalar_einstein_add(r[i], s[i])
         ba = scalar_einstein_add(s[i], r[i])
-        assert tol.close(ab, ba)
+        assert abs(ab - ba) <= 1e-9 + 1e-9 * max(abs(ab), abs(ba))
         left = scalar_einstein_add(ab, t[i])
         right = scalar_einstein_add(r[i], scalar_einstein_add(s[i], t[i]))
-        assert tol.close(left, right)
+        assert abs(left - right) <= 1e-9 + 1e-9 * max(abs(left), abs(right))
 
 
 def test_cauchy_schwarz_on_samples():
@@ -126,8 +123,8 @@ def test_tanh_atanh_roundtrip():
 
 
 def test_sampling_determinism_and_cap():
-    a = sample_ball_point(2, make_rng(123))
-    b = sample_ball_point(2, make_rng(123))
+    a = sample_ball_points(2, 1, make_rng(123))
+    b = sample_ball_points(2, 1, make_rng(123))
     assert np.array_equal(a, b)
     pts = sample_ball_points(5, 2000, make_rng(5))
     assert np.all(euclidean_norm(pts) <= 0.95)
