@@ -235,38 +235,31 @@ def build_parser():
     return parser
 
 
-_POINT_FLAGS = {"--u", "--v", "--a", "--b", "--c"}
-
-# A token that starts with "-" and a digit or "." is a point, not an option.
-_NEGATIVE_POINT = re.compile(r"-[\d.]")
+# A token that starts with "-" and a digit, "." or a non-finite float name
+# is a point or a number, not an option.
+_NEGATIVE_POINT = re.compile(r"-(?:[\d.]|inf|nan)", re.IGNORECASE)
 
 
 def _merge_point_flags(argv):
-    """Keep points that start with a minus sign away from argparse, which
-    would read "-0.3,0.2" as an option: point flags are joined with their
-    value ("--u=-0.3,0.2"), and a bare point (the operand of ``convert``) is
-    moved behind "--", so it parses before or after the options."""
+    """Keep points and numbers that start with a minus sign away from
+    argparse, which would read "-0.3,0.2" as an option: one that follows a
+    long option is joined with it ("--u=-0.3,0.2", "--dim=-3"), and a bare
+    one (the operand of ``convert``) is moved behind "--", so it parses
+    before or after the options."""
     if argv is None:
         argv = sys.argv[1:]
     out, operands = [], []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
+    for i, tok in enumerate(argv):
         if tok == "--":
             operands += argv[i + 1:]
             break
-        if tok in _POINT_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
         prev = out[-1] if out else ""
-        # A value of an option such as "--dim -3" stays where it is.
-        is_value = prev.startswith("--") and "=" not in prev and prev != "--help"
-        if _NEGATIVE_POINT.match(tok) and not is_value:
-            operands.append(tok)
-        else:
+        if not _NEGATIVE_POINT.match(tok):
             out.append(tok)
-        i += 1
+        elif prev.startswith("--") and "=" not in prev and prev != "--help":
+            out[-1] = f"{prev}={tok}"
+        else:
+            operands.append(tok)
     return out + ["--"] + operands if operands else out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,13 +60,12 @@ class CheckConfig:
     seed: int = 42
     atol: float = DEFAULT_ATOL
     rtol: float = DEFAULT_RTOL
-    probes: int = 32  # probe points per function-equality check
+    probes: ClassVar[int] = 32  # probe points per function-equality check
 
     def __post_init__(self):
         # A suite that checks no row passes vacuously, a NaN tolerance fails
         # every row and PCG64 refuses a negative seed: reject them on entry.
-        for name, value, least in (("samples", self.samples, 1),
-                                   ("probes", self.probes, 1), ("seed", self.seed, 0)):
+        for name, value, least in (("samples", self.samples, 1), ("seed", self.seed, 0)):
             if value < least:
                 raise DomainError(f"{name} must be >= {least}, got {value}")
         for name, tol in (("absolute tolerance", self.atol),
@@ -178,8 +178,9 @@ class _SuiteRun:
     def draw(self, count):
         return self.m.sample(self.rng, count)
 
-    def probe_blocks(self, a, b, probes):
-        """Blocks of (a, b) rows against a shared probe set for pointwise
+    def probe_blocks(self, a, b):
+        """Blocks of (a, b) rows against ``cfg.probes`` probe points, drawn
+        from the stream as the first block is taken, for pointwise
         function-equality checks.  Yields ``(first_row, aP, bP, xP)`` with
         views ``aP = a[i:j, None]``, ``bP = b[i:j, None]`` of shape
         (j - i, 1, n) and ``xP = probes[None]`` of shape (1, P, n).  Kernels
@@ -188,6 +189,7 @@ class _SuiteRun:
         alone are computed once per pair.  Recorded with ``first=first_row``,
         result row k of a block gets ``sample_index`` first_row + k, which is
         i * P + j for (a[i], b[i], probes[j])."""
+        probes = self.draw(self.cfg.probes)
         p, n = probes.shape
         step = max(1, BLOCK_ELEMENTS // (p * n))
         for i in range(0, len(a), step):
@@ -285,16 +287,14 @@ class _SuiteRun:
 
 # --- suites ------------------------------------------------------------------
 
-def suite_axioms(nm, cfg):
-    run = _SuiteRun(nm, cfg)
-    m = run.m
+def suite_axioms(run):
+    m, cfg = run.m, run.cfg
     a, b, c = run.draw(cfg.samples), run.draw(cfg.samples), run.draw(cfg.samples)
     run.equal("G1-left-identity", {"a": a}, m.add(m.identity, a), a)
     run.equal("G2-left-inverse", {"a": a}, m.add(m.neg(a), a), np.zeros_like(a))
     run.equal("G3-left-gyroassociative", {"a": a, "b": b, "c": c},
               m.add(a, m.add(b, c)), m.add(m.add(a, b), m.gyr(a, b, c)))
-    probes = run.draw(cfg.probes)
-    for first, aP, bP, xP in run.probe_blocks(a, b, probes):
+    for first, aP, bP, xP in run.probe_blocks(a, b):
         yP = np.roll(xP, 1, axis=1)
         gP = m.gyr(aP, bP, xP)
         run.equal("G4-left-loop", {"a": aP, "b": bP, "x": xP},
@@ -303,14 +303,11 @@ def suite_axioms(nm, cfg):
         del gP  # one fewer block-sized array alive while the last check records
         run.equal("gyr-automorphism", {"a": aP, "b": bP, "x": xP, "y": yP},
                   m.gyr(aP, bP, m.add(xP, yP)), rhs, first=first)
-    return run
 
 
-def suite_table1(nm, cfg):
-    run = _SuiteRun(nm, cfg)
-    m = run.m
+def suite_table1(run):
+    m, cfg = run.m, run.cfg
     a, b, c = run.draw(cfg.samples), run.draw(cfg.samples), run.draw(cfg.samples)
-    probes = run.draw(cfg.probes)
     run.equal("involution-of-inversion", {"a": a}, m.neg(m.neg(a)), a)
     run.equal("left-cancellation", {"a": a, "b": b},
               m.add(m.neg(a), m.add(a, b)), b)
@@ -321,7 +318,7 @@ def suite_table1(nm, cfg):
     run.equal("cancellation-chain", {"a": a, "b": b, "c": c},
               m.add(m.add(m.neg(a), b), m.gyr(m.neg(a), b, m.add(m.neg(b), c))),
               m.add(m.neg(a), c))
-    for first, aP, bP, xP in run.probe_blocks(a, b, probes):
+    for first, aP, bP, xP in run.probe_blocks(a, b):
         gP = m.gyr(aP, bP, xP)
         run.equal("even-property", {"a": aP, "b": bP, "x": xP},
                   m.gyr(m.neg(aP), m.neg(bP), xP), gP, first=first)
@@ -339,12 +336,10 @@ def suite_table1(nm, cfg):
         del gP
         run.equal("composition-law", {"a": aP, "b": bP, "x": xP},
                   m.add(aP, m.add(bP, xP)), rhs, first=first)
-    return run
 
 
-def suite_gyronorm(nm, cfg):
-    run = _SuiteRun(nm, cfg)
-    m, norm = run.m, nm.norm
+def suite_gyronorm(run):
+    m, norm, cfg = run.m, run.nm.norm, run.cfg
     x, y = run.draw(cfg.samples), run.draw(cfg.samples)
     a, b = run.draw(cfg.samples), run.draw(cfg.samples)
     nx = norm(x)
@@ -362,12 +357,10 @@ def suite_gyronorm(nm, cfg):
                    norm(m.add(x, y)), nx + norm(y))
     run.equal("gyration-invariance", {"a": a, "b": b, "x": x},
               norm(m.gyr(a, b, x)), nx)
-    return run
 
 
-def suite_metric(nm, cfg):
-    run = _SuiteRun(nm, cfg)
-    d = nm.distance
+def suite_metric(run):
+    d, cfg = run.nm.distance, run.cfg
     x, y, z = run.draw(cfg.samples), run.draw(cfg.samples), run.draw(cfg.samples)
     dxy = d(x, y)
     run.less_equal("nonnegativity", {"x": x, "y": y}, np.zeros(cfg.samples), dxy)
@@ -382,26 +375,19 @@ def suite_metric(nm, cfg):
     run.equal("symmetry", {"x": x, "y": y}, dxy, d(y, x))
     run.less_equal("triangle-inequality", {"x": x, "y": y, "z": z},
                    d(x, z), dxy + d(y, z))
-    return run
 
 
-def suite_left_invariance(nm, cfg):
-    run = _SuiteRun(nm, cfg)
-    m, d = run.m, nm.distance
+def suite_left_invariance(run):
+    m, d, cfg = run.m, run.nm.distance, run.cfg
     a, x, y = run.draw(cfg.samples), run.draw(cfg.samples), run.draw(cfg.samples)
     run.equal("left-gyrotranslation-invariance", {"a": a, "x": x, "y": y},
               d(m.add(a, x), m.add(a, y)), d(x, y))
-    return run
 
 
-def suite_isometry(nm, cfg, tau=None):
+def suite_isometry(run):
     """Norm preservation and distance preservation of one gyroautomorphism."""
-    run = _SuiteRun(nm, cfg)
-    m, norm, d = run.m, nm.norm, nm.distance
-    if tau is None:
-        pair = run.draw(2)
-        tau = (pair[0], pair[1])
-    a0, b0 = tau
+    m, norm, d, cfg = run.m, run.nm.norm, run.nm.distance, run.cfg
+    a0, b0 = run.draw(2)
     x, y = run.draw(cfg.samples), run.draw(cfg.samples)
     tau_x = m.gyr(a0, b0, x)
     tau_y = m.gyr(a0, b0, y)
@@ -411,12 +397,10 @@ def suite_isometry(nm, cfg, tau=None):
               norm(tau_x), norm(x))
     run.equal("gyration-distance-preservation", {"a": A, "b": B, "x": x, "y": y},
               d(tau_x, tau_y), d(x, y))
-    return run
 
 
-def suite_klee(nm, cfg):
-    run = _SuiteRun(nm, cfg)
-    m, d = run.m, nm.distance
+def suite_klee(run):
+    m, d, cfg = run.m, run.nm.distance, run.cfg
     x, y = run.draw(cfg.samples), run.draw(cfg.samples)
     a, b = run.draw(cfg.samples), run.draw(cfg.samples)
     run.less_equal("right-gyrotranslation-inequality", {"x": x, "y": y, "a": a},
@@ -425,12 +409,10 @@ def suite_klee(nm, cfg):
                    d(m.add(x, y), m.add(a, b)), d(x, a) + d(y, b))
     run.equivalence_verdict("equivalence-consistency",
                             run.results[-2], run.results[-1])
-    return run
 
 
-def suite_commutative_like(nm, cfg):
-    run = _SuiteRun(nm, cfg)
-    m, norm, d = run.m, nm.norm, nm.distance
+def suite_commutative_like(run):
+    m, norm, d, cfg = run.m, run.nm.norm, run.nm.distance, run.cfg
     a, x, y = run.draw(cfg.samples), run.draw(cfg.samples), run.draw(cfg.samples)
     lhs = norm(m.add(m.add(a, x), m.gyr(a, x, m.add(y, m.neg(a)))))
     run.equal("commutative-like-condition", {"a": a, "x": x, "y": y},
@@ -442,7 +424,6 @@ def suite_commutative_like(nm, cfg):
               bi_lhs, bi_rhs)
     run.equivalence_verdict("equivalence-consistency",
                             run.results[-2], run.results[-1])
-    return run
 
 
 def random_isometry_spec(m, rng) -> IsometrySpec:
@@ -457,11 +438,10 @@ def random_isometry_spec(m, rng) -> IsometrySpec:
     return IsometrySpec(tuple(steps))
 
 
-def suite_mazur_ulam(nm, cfg):
-    run = _SuiteRun(nm, cfg)
-    m, d = run.m, nm.distance
+def suite_mazur_ulam(run):
+    m, d, cfg = run.m, run.nm.distance, run.cfg
     f = random_isometry_spec(m, run.rng)
-    t, rho = mazur_ulam_decompose(nm, f)
+    t, rho = mazur_ulam_decompose(run.nm, f)
     e = m.identity
     run.equal("rho-fixes-identity", {"e": e[None, :]},
               apply_isometry(m, rho, e)[None, :], e[None, :])
@@ -471,12 +451,10 @@ def suite_mazur_ulam(nm, cfg):
     ry = apply_isometry(m, rho, y)
     run.equal("rho-isometry", {"x": x, "y": y}, d(rx, ry), d(x, y))
     run.equal("decomposition-reproduces-f", {"x": x}, fx, m.add(t, rx))
-    return run
 
 
-def suite_homogeneity_isotropy(nm, cfg):
-    run = _SuiteRun(nm, cfg)
-    m, d = run.m, nm.distance
+def suite_homogeneity_isotropy(run):
+    m, d, cfg = run.m, run.nm.distance, run.cfg
     x, y = run.draw(cfg.samples), run.draw(cfg.samples)
     u, v = run.draw(cfg.samples), run.draw(cfg.samples)
     # T = L_y o L_{neg x} maps x to y and is an isometry.
@@ -486,18 +464,17 @@ def suite_homogeneity_isotropy(nm, cfg):
               d(apply_isometry(m, T, u), apply_isometry(m, T, v)), d(u, v))
 
     a, b, p = run.draw(cfg.samples), run.draw(cfg.samples), run.draw(cfg.samples)
-    probes = run.draw(cfg.probes)
     row_moved = np.concatenate([
         (euclidean_norm(m.gyr(aP, bP, xP) - xP)
          > cfg.atol + cfg.rtol * euclidean_norm(xP)).any(axis=1)
-        for _, aP, bP, xP in run.probe_blocks(a, b, probes)])
+        for _, aP, bP, xP in run.probe_blocks(a, b)])
     if not row_moved.any():
         note = ("all sampled gyrations are the identity map; "
                 "model is degenerate, isotropy not applicable")
         for name in ("isotropy-fixes-p", "isotropy-witness-isometry",
                      "isotropy-moves-a-probe"):
             run.skip_property(name, cfg.samples, note)
-        return run
+        return
     # T = L_p o gyr[a, b] o L_{neg p} fixes p, is an isometry, and is not
     # the identity map whenever the gyration moves some probe.
     T = isotropy_spec(m, p, a, b)
@@ -507,14 +484,12 @@ def suite_homogeneity_isotropy(nm, cfg):
     run.equal("isotropy-moves-a-probe", {"a": a, "b": b},
               row_moved.astype(float), np.ones(cfg.samples),
               note="1.0 means gyr[a, b] moved at least one probe point")
-    return run
 
 
-def suite_topology(nm, cfg):
+def suite_topology(run):
     """tanh(eps)-radius ball inclusions between the metrics d_e and d_E of the
     two TOPOLOGY_GYRONORMS."""
-    run = _SuiteRun(nm, cfg)
-    m = run.m
+    m, cfg = run.m, run.cfg
     norm_e, norm_E = (GYRONORMS[m.name, g].norm for g in TOPOLOGY_GYRONORMS)
     for eps in (0.1, 0.5, 1.0):
         u = run.draw(cfg.samples)
@@ -527,7 +502,6 @@ def suite_topology(nm, cfg):
                        dE, np.full(cfg.samples, eps))
         run.less_equal(f"gyrometric-below-rapidity-eps-{eps}", {"u": u, "w": w},
                        de, dE)
-    return run
 
 
 _SUITES = {
@@ -560,7 +534,8 @@ def run_suite(model_name, suite_name, cfg=None, dim=None, gyronorm=None) -> Chec
         raise UnknownNameError("suite 'topology' is defined only for model "
                                + " or ".join(f"'{m}'" for m in admitted))
     nm = get_normed(model_name, dim=dim, gyronorm=gyronorm)
-    run = _SUITES[suite_name](nm, cfg)
+    run = _SuiteRun(nm, cfg)
+    _SUITES[suite_name](run)
     report = CheckReport(
         suite=suite_name,
         model=model_name,

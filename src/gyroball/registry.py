@@ -10,16 +10,26 @@ from .core import GyrogroupModel, GyronormedModel
 from .errors import DimensionMismatchError, DomainError, UnknownNameError
 from .vectors import ensure_in_ball, euclidean_norm, sample_ball_points
 
-MODEL_NAMES = ("einstein", "mobius", "poincare-disk", "group")
+# One row per model: its addition, closed-form gyration, point check,
+# reference homomorphism target, default dim and default gyronorm.  The
+# plain group (R^n, +) has no boundary to guard, and its reference
+# homomorphism is doubling.  Every model samples points in the capped unit
+# ball, so the same tolerances apply to all of them.
+_Model = namedtuple("_Model", "add gyr validate hom_target dim gyronorm")
 
-DEFAULT_DIM = {"einstein": 3, "mobius": 3, "poincare-disk": 2, "group": 3}
-
-DEFAULT_GYRONORM = {
-    "einstein": "rapidity",
-    "mobius": "rapidity",
-    "poincare-disk": "poincare",
-    "group": "euclidean",
+_MODELS = {
+    "einstein": _Model(einstein.einstein_add, einstein.einstein_gyr, ensure_in_ball,
+                       "mobius", 3, "rapidity"),
+    "mobius": _Model(mobius.mobius_add, mobius.mobius_gyr, ensure_in_ball,
+                     "einstein", 3, "rapidity"),
+    "poincare-disk": _Model(disk.cmobius_add, disk.rotation_gyr, ensure_in_ball,
+                            "mobius", 2, "poincare"),
+    "group": _Model(core.group_add, core.group_gyr, None, "group", 3, "euclidean"),
 }
+
+MODEL_NAMES = tuple(_MODELS)
+DEFAULT_DIM = {name: row.dim for name, row in _MODELS.items()}
+DEFAULT_GYRONORM = {name: row.gyronorm for name, row in _MODELS.items()}
 
 # Models on the complex plane: their dim is 2, and the CLI also reads their
 # points in the form "a+bi".
@@ -47,7 +57,7 @@ GYRONORMS = {
 TOPOLOGY_GYRONORMS = ("euclidean", "rapidity")
 
 # (from, to) -> map.  A ball model's reference homomorphism, which the
-# table1 suite checks, is its conversion onto its target in _MODELS.
+# table1 suite checks, is its conversion onto its hom_target in _MODELS.
 CONVERSIONS = {
     ("mobius", "einstein"): mobius.phi,
     ("einstein", "mobius"): mobius.phi_inv,
@@ -55,31 +65,21 @@ CONVERSIONS = {
     ("mobius", "poincare-disk"): disk.ball_coordinates,
 }
 
-# Model -> (addition, closed-form gyration, point check, reference
-# homomorphism target).  The plain group (R^n, +) has no boundary to guard,
-# and its reference homomorphism is doubling.  Every model samples points in
-# the capped unit ball, so the same tolerances apply to all of them.
-_MODELS = {
-    "einstein": (einstein.einstein_add, einstein.einstein_gyr, ensure_in_ball, "mobius"),
-    "mobius": (mobius.mobius_add, mobius.mobius_gyr, ensure_in_ball, "einstein"),
-    "poincare-disk": (disk.cmobius_add, disk.rotation_gyr, ensure_in_ball, "mobius"),
-    "group": (core.group_add, core.group_gyr, None, "group"),
-}
 _HOMS = {**CONVERSIONS, ("group", "group"): core.double}
 
 
 def _build(name, dim, with_hom=True):
-    add, gyr, validate, target = _MODELS[name]
-    hom = (_build(target, dim, False), _HOMS[name, target]) if with_hom else None
+    row = _MODELS[name]
+    hom = (_build(row.hom_target, dim, False), _HOMS[name, row.hom_target]) if with_hom else None
     return GyrogroupModel(
         name=name,
         dim=dim,
-        add=add,
+        add=row.add,
         neg=np.negative,
         sample=lambda rng, count: sample_ball_points(dim, count, rng),
-        closed_gyr=gyr,
+        closed_gyr=row.gyr,
         hom=hom,
-        validate=validate,
+        validate=row.validate,
     )
 
 

@@ -36,18 +36,6 @@ def promote_float(v) -> np.ndarray:
     return v if v.dtype.kind == "f" else v.astype(float)
 
 
-def as_vector(coords) -> np.ndarray:
-    """Validate a real vector: finite entries, dimension >= 1."""
-    v = np.asarray(coords, dtype=float)
-    if v.ndim == 0:
-        v = v.reshape(1)
-    if v.shape[-1] < 1:
-        raise DomainError("vectors must have dimension >= 1")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("vector entries must be finite")
-    return v
-
-
 def dot(u, v):
     """Inner product of arrays over their shared trailing axis.
 
@@ -82,8 +70,13 @@ def euclidean_norm(v):
 
 
 def ball_point(coords) -> np.ndarray:
-    """Validate a point strictly inside the guarded open unit ball."""
-    v = as_vector(coords)
+    """Validate a point strictly inside the guarded open unit ball: finite
+    entries, dimension >= 1 (a scalar is a 1-d point)."""
+    v = np.atleast_1d(np.asarray(coords, dtype=float))
+    if v.shape[-1] < 1:
+        raise DomainError("vectors must have dimension >= 1")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("vector entries must be finite")
     ensure_in_ball(v)
     return v
 

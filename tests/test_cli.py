@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -83,6 +84,17 @@ def test_add_overflow_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: result inf,inf is not finite\n"
+
+
+def test_disk_point_of_another_dim_exits_2(capsys):
+    code, out, err = run_cli(capsys, "add", "--model", "poincare-disk",
+                             "--u", "0.1,0.2,0.3", "--v", "0,0,0")
+    assert (code, out) == (2, "")
+    assert err == "error: model 'poincare-disk' requires dim = 2\n"
+    code, out, err = run_cli(capsys, "convert", "--from", "mobius",
+                             "--to", "poincare-disk", "0.1,0.2,0.3")
+    assert (code, out) == (2, "")
+    assert err == "error: disk conversions require dim = 2\n"
 
 
 def test_add_dimension_mismatch_exits_2(capsys):
@@ -263,6 +275,25 @@ def test_check_text_output(capsys):
     assert "PASS" in out and "G1-left-identity" in out
 
 
+def test_check_text_output_prints_counterexamples(capsys):
+    code, out, _ = run_cli(capsys, "check", "--model", "poincare-disk", "--suite",
+                           "klee", "--samples", "500", "--output", "text")
+    assert code == 1
+    # One block per property: its status line and its counterexample lines.
+    fails = [b for b in re.split(r"\n(?=  [A-Z]+ )", out) if b.startswith("  FAIL ")]
+    assert fails
+    assert all(b.count("\n          counterexample: inputs=") <= 3 for b in fails)
+    assert any("\n          counterexample: inputs=" in b for b in fails)
+
+
+def test_check_text_output_prints_notes(capsys):
+    code, out, _ = run_cli(capsys, "check", "--model", "group", "--suite",
+                           "homogeneity-isotropy", "--samples", "100", "--output", "text")
+    assert code == 0
+    assert "  SKIPPED isotropy-fixes-p (checked 0) -- all sampled gyrations are the " \
+           "identity map; " in out
+
+
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
 
@@ -292,7 +323,7 @@ def test_check_rejects_non_integer_seed_env_with_exit_2(capsys, monkeypatch):
     assert out == "" and "GYRO_SEED" in err
 
 
-@pytest.mark.parametrize("point", ["nan,0", "inf,0", "1e999,0"])
+@pytest.mark.parametrize("point", ["nan,0", "inf,0", "1e999,0", "-inf,0", "-NaN,0"])
 def test_add_rejects_non_finite_point_with_exit_2(capsys, point):
     code, out, err = run_cli(capsys, "add", "--model", "einstein",
                              "--u", point, "--v", "0.1,0")

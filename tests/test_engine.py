@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,6 @@ from gyroball import (
 )
 from gyroball import cli
 from gyroball.core import gyr_via_gyrator_identity
-from gyroball.engine import suite_axioms
 from gyroball.rng import make_rng
 
 FAST = CheckConfig(samples=500)
@@ -149,10 +149,12 @@ def _broken_model(dim=2):
     )
 
 
-def test_broken_model_fails_axioms_with_witness():
+def test_broken_model_fails_axioms_with_witness(monkeypatch):
     nm = GyronormedModel(_broken_model(), "euclidean", euclidean_norm)
-    run = suite_axioms(nm, CheckConfig(samples=500))
-    g3 = next(r for r in run.results if r.name == "G3-left-gyroassociative")
+    monkeypatch.setattr("gyroball.engine.get_normed",
+                        lambda name, dim=None, gyronorm=None: nm)
+    report = run_suite("einstein", "axioms", CheckConfig(samples=500))
+    g3 = next(p for p in report.properties if p.name == "G3-left-gyroassociative")
     assert g3.status == "fail"
     assert g3.failures and g3.failures[0].diff > 1e-9
     assert set(g3.failures[0].inputs) == {"a", "b", "c"}
@@ -197,12 +199,16 @@ def test_nan_gyronorm_fails_the_sampling_health_gate(monkeypatch, suite):
                      "--samples", "500"]) == 4
 
 
-def test_isometry_suite_accepts_explicit_gyration():
-    from gyroball.engine import suite_isometry
-    nm = get_normed("einstein", dim=2)
-    tau = (np.array([0.5, 0.0]), np.array([0.0, 0.5]))
-    run = suite_isometry(nm, CheckConfig(samples=500), tau=tau)
-    assert all(r.status == "pass" for r in run.results)
+def test_table1_skips_the_homomorphism_check_of_a_model_without_one(monkeypatch):
+    nm = get_normed("mobius", dim=3)
+    nm = dataclasses.replace(nm, model=dataclasses.replace(nm.model, hom=None))
+    monkeypatch.setattr("gyroball.engine.get_normed",
+                        lambda name, dim=None, gyronorm=None: nm)
+    report = run_suite("mobius", "table1", FAST)
+    hom = next(p for p in report.properties if p.name == "gyration-preservation-hom")
+    assert (hom.status, hom.checked, hom.note) == (
+        "skipped", 0, "model registers no reference homomorphism")
+    assert report.passed
 
 
 def test_topology_suite_runs_on_einstein():
@@ -331,7 +337,8 @@ def test_blocked_probe_checks_match_one_block(monkeypatch, suite, model, dim, pa
     # the cutoff after the third, into different blocks; blocks of seven
     # leave a short last block.
     monkeypatch.setattr("gyroball.engine.MAX_FAILURES", 3)
-    cfg = CheckConfig(samples=40, seed=3, atol=1e-17, rtol=0.0, probes=2)
+    monkeypatch.setattr(CheckConfig, "probes", 2)
+    cfg = CheckConfig(samples=40, seed=3, atol=1e-17, rtol=0.0)
     whole = run_suite(model, suite, cfg, dim=dim)
     monkeypatch.setattr("gyroball.engine.BLOCK_ELEMENTS", pairs * cfg.probes * dim)
     blocked = run_suite(model, suite, cfg, dim=dim)

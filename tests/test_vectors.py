@@ -81,6 +81,12 @@ def test_ball_point_rejects_boundary():
         ball_point([np.nan, 0.0])
 
 
+def test_ball_point_reads_a_scalar_as_a_1d_point_and_rejects_no_coordinates():
+    assert ball_point(0.5).shape == (1,)
+    with pytest.raises(DomainError, match="dimension >= 1"):
+        ball_point([])
+
+
 def test_scalar_einstein_add_examples():
     assert scalar_einstein_add(0.5, 0.5) == pytest.approx(0.8)
     assert scalar_einstein_add(0.37, 0.0) == 0.37
