@@ -57,13 +57,12 @@ def rotation_gyr(a, b, w):
 
 
 def poincare_metric(w, z):
-    """Poincare distance 2 atanh |(w - z) / (1 - conj(w) z)| (curvature -1)."""
+    """Poincare distance 2 atanh |(-w) (+) z|, (+) the disk addition (curvature -1)."""
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
     ensure_in_ball(w)
     ensure_in_ball(z)
-    t = cdiv(w - z, _ONE - cmul(conj(w), z))
-    return 2.0 * atanh_guarded(euclidean_norm(t))
+    return 2.0 * atanh_guarded(euclidean_norm(cmobius_add(-w, z)))
 
 
 def disk_gyronorm(z):

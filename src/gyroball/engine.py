@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -32,7 +32,7 @@ from .core import (
 # Unused here; bench/tracing.py patches this name.
 from .einstein import einstein_add
 from .errors import DomainError, SamplingHealthError, UnknownNameError
-from .registry import GYRONORMS, MODEL_NAMES, TOPOLOGY_GYRONORMS, get_normed
+from .registry import GYRONORMS, MODEL_NAMES, TOPOLOGY_GYRONORMS, get_normed, trivial_gyrations
 from .rng import make_rng
 from .vectors import DEFAULT_ATOL, DEFAULT_RTOL, euclidean_norm, sample_ball_points
 
@@ -98,8 +98,8 @@ class PropertyResult:
     checked: int
     failed: int
     skipped: int
-    failures: list = field(default_factory=list)
-    note: str = ""
+    failures: list
+    note: str
 
     def to_dict(self):
         out = {
@@ -181,29 +181,30 @@ class _SuiteRun:
     def probe_blocks(self, a, b):
         """Blocks of (a, b) rows against ``cfg.probes`` probe points, drawn
         from the stream as the first block is taken, for pointwise
-        function-equality checks.  Yields ``(first_row, aP, bP, xP)`` with
-        views ``aP = a[i:j, None]``, ``bP = b[i:j, None]`` of shape
-        (j - i, 1, n) and ``xP = probes[None]`` of shape (1, P, n).  Kernels
-        broadcast them to (j - i, P, n) results, at most BLOCK_ELEMENTS
-        elements unless one pair exceeds it, while terms that depend on (a, b)
-        alone are computed once per pair.  Recorded with ``first=first_row``,
-        result row k of a block gets ``sample_index`` first_row + k, which is
-        i * P + j for (a[i], b[i], probes[j])."""
+        function-equality checks.  Yields ``(aP, bP, xP)`` with views
+        ``aP = a[i:j, None]``, ``bP = b[i:j, None]`` of shape (j - i, 1, n)
+        and ``xP = probes[None]`` of shape (1, P, n).  Kernels broadcast them
+        to (j - i, P, n) results, at most BLOCK_ELEMENTS elements unless one
+        pair exceeds it, while terms that depend on (a, b) alone are computed
+        once per pair.  Blocks are taken in order and recorded under one
+        name, so result row k of a block gets ``sample_index`` i * P + k,
+        which is i * P + j for (a[i], b[i], probes[j])."""
         probes = self.draw(self.cfg.probes)
         p, n = probes.shape
         step = max(1, BLOCK_ELEMENTS // (p * n))
         for i in range(0, len(a), step):
-            yield i * p, a[i:i + step, None], b[i:i + step, None], probes[None]
+            yield a[i:i + step, None], b[i:i + step, None], probes[None]
 
-    def equal(self, name, inputs, lhs, rhs, note="", first=0):
-        self._record(name, inputs, lhs, rhs, mode="eq", note=note, first=first)
+    def equal(self, name, inputs, lhs, rhs, note=""):
+        self._record(name, inputs, lhs, rhs, "eq", note)
 
-    def less_equal(self, name, inputs, lhs, rhs, note="", first=0):
-        self._record(name, inputs, lhs, rhs, mode="le", note=note, first=first)
+    def less_equal(self, name, inputs, lhs, rhs):
+        self._record(name, inputs, lhs, rhs, "le", "")
 
-    def _record(self, name, inputs, lhs, rhs, mode, note="", first=0):
-        """Record a property, or with ``first`` > 0 merge a later block of
-        it, whose rows start at global row ``first``, into its result."""
+    def _record(self, name, inputs, lhs, rhs, mode, note):
+        """Add the rows of a check to the property's result, found by name
+        and made on first use.  They are numbered after the rows the result
+        already holds, so the blocks of a probe check merge into one result."""
         cfg = self.cfg
         lhs = np.asarray(lhs, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
@@ -230,9 +231,10 @@ class _SuiteRun:
         n = finite.size
         skipped_rows = int(np.count_nonzero(~finite))
         fail_idx = np.flatnonzero(finite & ~ok)
-        if not first:
+        if all(r.name != name for r in self.results):
             self.results.append(PropertyResult(name, "pass", 0, 0, 0, [], note))
-        res = next(r for r in reversed(self.results) if r.name == name)
+        res = next(r for r in self.results if r.name == name)
+        first = res.checked + res.skipped
 
         def row(v, i):
             # Row i of v broadcast against the leading axes; read only for
@@ -262,27 +264,22 @@ class _SuiteRun:
             res.status = "fail" if res.failed else "pass"
         self.skipped += skipped_rows
 
-    def skip_property(self, name, count, note):
-        self.results.append(PropertyResult(name, "skipped", 0, 0, count, [], note))
+    def skip_property(self, name, note):
+        self.results.append(PropertyResult(name, "skipped", 0, 0, self.cfg.samples, [], note))
 
-    def equivalence_verdict(self, name, first, second):
-        """Suite-level consistency of two universally quantified conditions:
-        either both hold on all samples or both are violated somewhere.
-        Per-sample divergence is informational only."""
+    def equivalence_verdict(self):
+        """Suite-level consistency of the two universally quantified
+        conditions recorded last: either both hold on all samples or both
+        are violated somewhere.  Per-sample divergence is informational only."""
+        first, second = self.results[-2:]
         consistent = (first.failed > 0) == (second.failed > 0)
         note = (
             f"{first.name}: {first.status} ({first.failed} violations); "
             f"{second.name}: {second.status} ({second.failed} violations)"
         )
         self.results.append(PropertyResult(
-            name=name,
-            status="pass" if consistent else "fail",
-            checked=min(first.checked, second.checked),
-            failed=0 if consistent else 1,
-            skipped=0,
-            failures=[],
-            note=note,
-        ))
+            "equivalence-consistency", "pass" if consistent else "fail",
+            min(first.checked, second.checked), 0 if consistent else 1, 0, [], note))
 
 
 # --- suites ------------------------------------------------------------------
@@ -294,15 +291,15 @@ def suite_axioms(run):
     run.equal("G2-left-inverse", {"a": a}, m.add(m.neg(a), a), np.zeros_like(a))
     run.equal("G3-left-gyroassociative", {"a": a, "b": b, "c": c},
               m.add(a, m.add(b, c)), m.add(m.add(a, b), m.gyr(a, b, c)))
-    for first, aP, bP, xP in run.probe_blocks(a, b):
+    for aP, bP, xP in run.probe_blocks(a, b):
         yP = np.roll(xP, 1, axis=1)
         gP = m.gyr(aP, bP, xP)
         run.equal("G4-left-loop", {"a": aP, "b": bP, "x": xP},
-                  m.gyr(m.add(aP, bP), bP, xP), gP, first=first)
+                  m.gyr(m.add(aP, bP), bP, xP), gP)
         rhs = m.add(gP, m.gyr(aP, bP, yP))
         del gP  # one fewer block-sized array alive while the last check records
         run.equal("gyr-automorphism", {"a": aP, "b": bP, "x": xP, "y": yP},
-                  m.gyr(aP, bP, m.add(xP, yP)), rhs, first=first)
+                  m.gyr(aP, bP, m.add(xP, yP)), rhs)
 
 
 def suite_table1(run):
@@ -318,24 +315,24 @@ def suite_table1(run):
     run.equal("cancellation-chain", {"a": a, "b": b, "c": c},
               m.add(m.add(m.neg(a), b), m.gyr(m.neg(a), b, m.add(m.neg(b), c))),
               m.add(m.neg(a), c))
-    for first, aP, bP, xP in run.probe_blocks(a, b):
+    for k, (aP, bP, xP) in enumerate(run.probe_blocks(a, b)):
         gP = m.gyr(aP, bP, xP)
         run.equal("even-property", {"a": aP, "b": bP, "x": xP},
-                  m.gyr(m.neg(aP), m.neg(bP), xP), gP, first=first)
+                  m.gyr(m.neg(aP), m.neg(bP), xP), gP)
         run.equal("inversive-symmetry", {"a": aP, "b": bP, "x": xP},
-                  m.gyr(bP, aP, gP), xP, first=first)
-        if first == 0:  # a whole (N, n) check, at its place in the report
+                  m.gyr(bP, aP, gP), xP)
+        if k == 0:  # a whole (N, n) check, at its place in the report
             if m.hom is not None:
                 target, f = m.hom
                 run.equal("gyration-preservation-hom", {"a": a, "b": b, "c": c},
                           f(m.gyr(a, b, c)), target.gyr(f(a), f(b), f(c)))
             else:
-                run.skip_property("gyration-preservation-hom", cfg.samples,
+                run.skip_property("gyration-preservation-hom",
                                   "model registers no reference homomorphism")
         rhs = m.add(m.add(aP, bP), gP)
         del gP
         run.equal("composition-law", {"a": aP, "b": bP, "x": xP},
-                  m.add(aP, m.add(bP, xP)), rhs, first=first)
+                  m.add(aP, m.add(bP, xP)), rhs)
 
 
 def suite_gyronorm(run):
@@ -407,8 +404,7 @@ def suite_klee(run):
                    d(m.add(x, a), m.add(y, a)), d(x, y))
     run.less_equal("klee-condition", {"x": x, "y": y, "a": a, "b": b},
                    d(m.add(x, y), m.add(a, b)), d(x, a) + d(y, b))
-    run.equivalence_verdict("equivalence-consistency",
-                            run.results[-2], run.results[-1])
+    run.equivalence_verdict()
 
 
 def suite_commutative_like(run):
@@ -422,8 +418,7 @@ def suite_commutative_like(run):
     bi_rhs = np.stack([dxy, dxy], axis=-1)
     run.equal("bi-gyrotranslation-invariance", {"a": a, "x": x, "y": y},
               bi_lhs, bi_rhs)
-    run.equivalence_verdict("equivalence-consistency",
-                            run.results[-2], run.results[-1])
+    run.equivalence_verdict()
 
 
 def random_isometry_spec(m, rng) -> IsometrySpec:
@@ -463,18 +458,18 @@ def suite_homogeneity_isotropy(run):
     run.equal("homogeneity-witness-isometry", {"x": x, "y": y, "u": u, "v": v},
               d(apply_isometry(m, T, u), apply_isometry(m, T, v)), d(u, v))
 
-    a, b, p = run.draw(cfg.samples), run.draw(cfg.samples), run.draw(cfg.samples)
-    row_moved = np.concatenate([
-        (euclidean_norm(m.gyr(aP, bP, xP) - xP)
-         > cfg.atol + cfg.rtol * euclidean_norm(xP)).any(axis=1)
-        for _, aP, bP, xP in run.probe_blocks(a, b)])
-    if not row_moved.any():
+    if trivial_gyrations(m.name, m.dim):
         note = ("all sampled gyrations are the identity map; "
                 "model is degenerate, isotropy not applicable")
         for name in ("isotropy-fixes-p", "isotropy-witness-isometry",
                      "isotropy-moves-a-probe"):
-            run.skip_property(name, cfg.samples, note)
+            run.skip_property(name, note)
         return
+    a, b, p = run.draw(cfg.samples), run.draw(cfg.samples), run.draw(cfg.samples)
+    row_moved = np.concatenate([
+        (euclidean_norm(m.gyr(aP, bP, xP) - xP)
+         > cfg.atol + cfg.rtol * euclidean_norm(xP)).any(axis=1)
+        for aP, bP, xP in run.probe_blocks(a, b)])
     # T = L_p o gyr[a, b] o L_{neg p} fixes p, is an isometry, and is not
     # the identity map whenever the gyration moves some probe.
     T = isotropy_spec(m, p, a, b)

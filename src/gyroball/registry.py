@@ -10,21 +10,21 @@ from .core import GyrogroupModel, GyronormedModel
 from .errors import DimensionMismatchError, DomainError, UnknownNameError
 from .vectors import ensure_in_ball, euclidean_norm, sample_ball_points
 
-# One row per model: its addition, closed-form gyration, point check,
-# reference homomorphism target, default dim and default gyronorm.  The
-# plain group (R^n, +) has no boundary to guard, and its reference
-# homomorphism is doubling.  Every model samples points in the capped unit
-# ball, so the same tolerances apply to all of them.
-_Model = namedtuple("_Model", "add gyr validate hom_target dim gyronorm")
+# One row per model: its addition, closed-form gyration, whether it is a group
+# (every gyration the identity), point check, reference homomorphism target,
+# default dim and default gyronorm.  The plain group (R^n, +) has no boundary
+# to guard, and its reference homomorphism is doubling.  Every model samples
+# points in the capped unit ball, so the same tolerances apply to all of them.
+_Model = namedtuple("_Model", "add gyr trivial_gyr validate hom_target dim gyronorm")
 
 _MODELS = {
-    "einstein": _Model(einstein.einstein_add, einstein.einstein_gyr, ensure_in_ball,
+    "einstein": _Model(einstein.einstein_add, einstein.einstein_gyr, False, ensure_in_ball,
                        "mobius", 3, "rapidity"),
-    "mobius": _Model(mobius.mobius_add, mobius.mobius_gyr, ensure_in_ball,
+    "mobius": _Model(mobius.mobius_add, mobius.mobius_gyr, False, ensure_in_ball,
                      "einstein", 3, "rapidity"),
-    "poincare-disk": _Model(disk.cmobius_add, disk.rotation_gyr, ensure_in_ball,
+    "poincare-disk": _Model(disk.cmobius_add, disk.rotation_gyr, False, ensure_in_ball,
                             "mobius", 2, "poincare"),
-    "group": _Model(core.group_add, core.group_gyr, None, "group", 3, "euclidean"),
+    "group": _Model(core.group_add, core.group_gyr, True, None, "group", 3, "euclidean"),
 }
 
 MODEL_NAMES = tuple(_MODELS)
@@ -81,6 +81,12 @@ def _build(name, dim, with_hom=True):
         hom=hom,
         validate=row.validate,
     )
+
+
+def trivial_gyrations(name, dim):
+    """Whether every gyration of the model is the identity map: true of a
+    group, and at dim 1, where a ball gyration has no plane to turn."""
+    return dim == 1 or (name in _MODELS and _MODELS[name].trivial_gyr)
 
 
 def _unknown_model(name):

@@ -59,6 +59,9 @@ def test_hyperbolic_models_fail_right_invariance(model, suite):
 def test_group_model_passes_everything(suite):
     report = run_suite("group", suite, FAST, dim=3)
     assert report.passed
+    # _record merges a property's blocks by name, so names must be unique.
+    names = [p.name for p in report.properties]
+    assert len(names) == len(set(names)), names
     if suite == "homogeneity-isotropy":
         skipped = {p.name for p in report.properties if p.status == "skipped"}
         assert "isotropy-fixes-p" in skipped
@@ -231,6 +234,18 @@ def test_topology_runs_on_every_model_that_registers_both_gyronorms(monkeypatch)
     with pytest.raises(UnknownNameError,
                        match="^suite 'topology' is defined only for model 'einstein' or 'mobius'$"):
         run_suite("group", "topology", FAST)
+
+
+@pytest.mark.parametrize("model", ("einstein", "mobius"))
+def test_ball_isotropy_is_a_declared_skip_at_dim_1(model):
+    # At dim 1 every ball gyration is the identity map, as the registry says.
+    report = run_suite(model, "homogeneity-isotropy", FAST, dim=1)
+    assert report.passed
+    skipped = [(p.name, p.checked, p.skipped) for p in report.properties
+               if p.status == "skipped"]
+    assert skipped == [(name, 0, FAST.samples) for name in (
+        "isotropy-fixes-p", "isotropy-witness-isometry", "isotropy-moves-a-probe")]
+    assert all("degenerate" in p.note for p in report.properties if p.status == "skipped")
 
 
 def test_homogeneity_isotropy_checks_the_core_witnesses(monkeypatch):

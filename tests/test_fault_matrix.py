@@ -37,11 +37,10 @@ def _scaled_add(a, b):
 
 
 # (model, field, replacement) -> suites whose verdict the fault flips, under
-# every gyronorm of the model.  Known gap: under the identity gyration,
-# homogeneity-isotropy still passes, because its three isotropy properties
-# become declared skips ("model is degenerate").
+# every gyronorm of the model.
 FAULTS = {
-    "identity-gyration": ("mobius", "closed_gyr", _identity_gyr, {"axioms", "table1"}),
+    "identity-gyration": ("mobius", "closed_gyr", _identity_gyr,
+                          {"axioms", "table1", "homogeneity-isotropy"}),
     "swapped-gyration": ("mobius", "closed_gyr", _swapped_gyr, {"axioms", "table1"}),
     "einstein-gyration-without-phi-inv": ("einstein", "closed_gyr", mobius_gyr,
                                           {"axioms", "table1"}),
