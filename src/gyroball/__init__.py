@@ -21,7 +21,6 @@ from .core import (
 from .disk import (
     cmobius_add,
     cmobius_gyr_factor,
-    disk_gyronorm,
     poincare_metric,
 )
 from .einstein import (
@@ -44,14 +43,22 @@ from .errors import (
 from .mobius import gyronorm_M, mobius_add, phi, phi_inv, rapidity_metric_dM
 from .registry import MODEL_NAMES, get_model, get_normed
 from .rng import make_rng
-from .vectors import (
-    atanh_guarded,
-    ball_point,
-    euclidean_norm,
-    inner_product,
-    lorentz_gamma,
-    sample_ball_points,
-    scalar_einstein_add,
-)
+from .vectors import atanh_guarded, euclidean_norm, sample_ball_points
+
+# The package's public surface; see README, "Python API".
+__all__ = [
+    "Gyration", "GyrogroupModel", "GyronormedModel", "IsometrySpec", "LeftTranslation",
+    "apply_isometry", "gyr_via_gyrator_identity", "gyronorm_from_metric",
+    "homogeneity_witness", "isotropy_witness", "mazur_ulam_decompose",
+    "cmobius_add", "cmobius_gyr_factor", "poincare_metric",
+    "einstein_add", "gyrometric_de", "gyronorm_E", "rapidity_metric_dE",
+    "CheckConfig", "CheckReport", "run_suite", "SUITE_NAMES",
+    "BoundaryError", "DegeneracyError", "DimensionMismatchError", "DomainError",
+    "GyroError", "LeftInvarianceError", "SamplingHealthError", "UnknownNameError",
+    "gyronorm_M", "mobius_add", "phi", "phi_inv", "rapidity_metric_dM",
+    "MODEL_NAMES", "get_model", "get_normed",
+    "make_rng",
+    "atanh_guarded", "euclidean_norm", "sample_ball_points",
+]
 
 __version__ = "0.1.0"

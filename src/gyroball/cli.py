@@ -162,7 +162,7 @@ def _cmd_check(args):
         report = run_suite(args.model, args.suite, cfg=cfg, dim=args.dim,
                            gyronorm=args.gyronorm)
     except SamplingHealthError as exc:
-        if exc.report is not None and args.output == "structured":
+        if args.output == "structured":
             print(exc.report.to_json())
         print(f"error: {exc}", file=sys.stderr)
         return 4

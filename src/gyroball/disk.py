@@ -65,13 +65,6 @@ def poincare_metric(w, z):
     return 2.0 * atanh_guarded(euclidean_norm(cmobius_add(-w, z)))
 
 
-def disk_gyronorm(z):
-    """Gyronorm 2 atanh |z|, i.e. the Poincare distance to the origin."""
-    z = np.asarray(z, dtype=float)
-    ensure_in_ball(z)
-    return 2.0 * atanh_guarded(euclidean_norm(z))
-
-
 def poincare_norm_unchecked(z):
     """Engine-facing disk gyronorm; no boundary guard."""
     return 2.0 * arctanh_unchecked(euclidean_norm(z))

@@ -27,9 +27,9 @@ class LeftInvarianceError(GyroError):
     Carries a ``witness`` dict with the offending triple and both distances.
     """
 
-    def __init__(self, message, witness=None):
+    def __init__(self, message, witness):
         super().__init__(message)
-        self.witness = witness or {}
+        self.witness = witness
 
 
 class UnknownNameError(GyroError, KeyError):
@@ -45,6 +45,6 @@ class SamplingHealthError(GyroError):
     Carries the assembled ``report`` so callers can still inspect it.
     """
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report

@@ -6,7 +6,7 @@ single point of shape ``(n,)`` and a batch of shape ``(N, n)``.
 
 import numpy as np
 
-from .errors import BoundaryError, DimensionMismatchError, DomainError
+from .errors import BoundaryError, DomainError
 
 # Points with norm >= 1 - BOUNDARY_GUARD are rejected: atanh and the Lorentz
 # factor blow up there, and silent clamping would corrupt metric checks.
@@ -53,32 +53,9 @@ def dot(u, v):
     return s
 
 
-def inner_product(u, v):
-    """Euclidean inner product over the trailing axis."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape[-1] != v.shape[-1]:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {u.shape[-1]} vs {v.shape[-1]}"
-        )
-    return dot(u, v)
-
-
 def euclidean_norm(v):
     v = np.asarray(v, dtype=float)
     return np.sqrt(dot(v, v))
-
-
-def ball_point(coords) -> np.ndarray:
-    """Validate a point strictly inside the guarded open unit ball: finite
-    entries, dimension >= 1 (a scalar is a 1-d point)."""
-    v = np.atleast_1d(np.asarray(coords, dtype=float))
-    if v.shape[-1] < 1:
-        raise DomainError("vectors must have dimension >= 1")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("vector entries must be finite")
-    ensure_in_ball(v)
-    return v
 
 
 def ensure_in_ball(v) -> None:
@@ -89,13 +66,6 @@ def ensure_in_ball(v) -> None:
         raise BoundaryError(
             f"point norm {worst!r} reaches the boundary guard 1 - {BOUNDARY_GUARD}"
         )
-
-
-def lorentz_gamma(v):
-    """Relativistic dilation factor 1/sqrt(1 - |v|^2) for |v| < 1."""
-    v = np.asarray(v, dtype=float)
-    ensure_in_ball(v)
-    return 1.0 / np.sqrt(1.0 - dot(v, v))
 
 
 def atanh_guarded(x):
@@ -123,15 +93,6 @@ def arctanh_unchecked(x):
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.arctanh(np.asarray(x, dtype=float))
-
-
-def scalar_einstein_add(r, s):
-    """Addition (r + s)/(1 + rs) on the open interval (-1, 1)."""
-    r = float(r)
-    s = float(s)
-    if abs(r) >= 1.0 or abs(s) >= 1.0:
-        raise DomainError(f"scalar arguments must lie in (-1, 1), got {r!r}, {s!r}")
-    return (r + s) / (1.0 + r * s)
 
 
 def sample_ball_points(n, count, rng, cap=SAMPLE_RADIUS_CAP):

@@ -1,0 +1,97 @@
+"""Mutation check of the property engine: does the test suite notice when a
+check is weakened?
+
+    python tests/mutants.py
+
+Each entry of MUTANTS is (name, old, new, expected): a one-line edit of the
+source and the outcome expected of it.  For each entry the script copies
+``src/`` to a temporary directory, replaces the one occurrence of ``old``
+with ``new`` and runs the test suite against the copy.  The mutant is killed
+when some test fails and survives when all pass.  A mutant that weakens a
+check is expected to be killed, and the script exits 1 if one survives.  An
+"equivalent" mutant, whose stated reason says why no report can tell it
+apart or why it is only stricter, may survive.  Standard library only;
+pytest does not collect this file.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+KILLED = "killed"
+
+MUTANTS = [
+    ("one-failing-row-passes",
+     'res.status = "fail" if res.failed else "pass"',
+     'res.status = "fail" if res.failed > 1 else "pass"', KILLED),
+    ("equivalence-always-consistent",
+     "consistent = (first.failed > 0) == (second.failed > 0)",
+     "consistent = True", KILLED),
+    ("skip-gate-at-50-percent",
+     "MAX_SKIP_FRACTION = 0.01", "MAX_SKIP_FRACTION = 0.5", KILLED),
+    ("positivity-floor-1e-17",
+     "POSITIVITY_FLOOR = 1e-7", "POSITIVITY_FLOOR = 1e-17", KILLED),
+    ("subadditivity-bound-doubled",
+     "norm(m.add(x, y)), nx + norm(y))", "norm(m.add(x, y)), nx + 2 * norm(y))", KILLED),
+    ("triangle-bound-doubled",
+     "d(x, z), dxy + d(y, z))", "d(x, z), 2 * dxy + d(y, z))", KILLED),
+    ("ball-inclusion-at-2-eps",
+     "dE, np.full(cfg.samples, eps))", "dE, np.full(cfg.samples, 2 * eps))", KILLED),
+    ("strict-comparison",
+     "ok = err <= bound", "ok = err < bound",
+     "equivalent: stricter, and differs only on a row whose error equals its bound"),
+    ("eq-bound-from-rhs-alone",
+     "bound = np.maximum(np.abs(lhs), np.abs(rhs))", "bound = np.abs(rhs)",
+     "equivalent: stricter by at most rtol * |lhs - rhs|, far below atol where rows pass"),
+    ("le-diff-unclamped",
+     "diff = np.maximum(diff, 0.0)", "diff = diff",
+     "equivalent: every less-equal check has scalar rows, and a failing one has diff > 0"),
+    ("isotropy-moves-every-probe",
+     ".any(axis=1)", ".all(axis=1)",
+     "equivalent: stricter, and a curved model's gyration moves every sampled probe"),
+]
+
+
+def apply(src, old, new):
+    """Replace the one occurrence of ``old`` under ``src`` with ``new``."""
+    assert "\n" not in old + new, "a mutant edits one line"
+    files = sorted(src.rglob("*.py"))
+    counts = [path.read_text().count(old) for path in files]
+    assert sum(counts) == 1, f"{old!r} occurs {sum(counts)} times, not once"
+    path = files[counts.index(1)]
+    path.write_text(path.read_text().replace(old, new))
+
+
+def run(old, new):
+    """Return the test suite's exit code on a copy of src/ with the edit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        apply(src, old, new)
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+
+
+def main():
+    bad = []
+    for name, old, new, expected in MUTANTS:
+        code = run(old, new)
+        outcome = {0: "survived", 1: KILLED}.get(code, f"error (pytest exit {code})")
+        print(f"{name:32s} {outcome:10s} expected {expected}", flush=True)
+        if outcome.startswith("error") or (expected == KILLED and outcome != KILLED):
+            bad.append(name)
+    if bad:
+        print(f"not killed as expected: {', '.join(bad)}", file=sys.stderr)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

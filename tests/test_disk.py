@@ -7,7 +7,6 @@ from gyroball import (
     BoundaryError,
     cmobius_add,
     cmobius_gyr_factor,
-    disk_gyronorm,
     euclidean_norm,
     get_normed,
     make_rng,
@@ -94,9 +93,10 @@ def test_poincare_metric_boundary_error():
 
 
 def test_gyronorm_examples():
-    assert disk_gyronorm([0.0, 0.0]) == 0.0
-    assert disk_gyronorm([0.5, 0.0]) == pytest.approx(2 * math.atanh(0.5))
-    assert disk_gyronorm([0.0, -0.5]) == disk_gyronorm([0.5, 0.0])
+    norm = get_normed("poincare-disk").norm
+    assert norm(np.array([0.0, 0.0])) == 0.0
+    assert norm(np.array([0.5, 0.0])) == pytest.approx(2 * math.atanh(0.5))
+    assert norm(np.array([0.0, -0.5])) == norm(np.array([0.5, 0.0]))
 
 
 def test_transformation_is_isometry():

@@ -18,8 +18,12 @@ from gyroball import (
     rapidity_metric_dE,
     run_suite,
     sample_ball_points,
-    scalar_einstein_add,
 )
+
+
+def scalar_einstein_add(r, s):
+    """Independent oracle: Einstein addition on the interval (-1, 1)."""
+    return (r + s) / (1.0 + r * s)
 
 
 def test_zero_is_identity():

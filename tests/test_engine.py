@@ -19,8 +19,9 @@ from gyroball import (
     run_suite,
     sample_ball_points,
 )
-from gyroball import cli
+from gyroball import cli, registry
 from gyroball.core import gyr_via_gyrator_identity
+from gyroball.engine import _SuiteRun
 from gyroball.rng import make_rng
 
 FAST = CheckConfig(samples=500)
@@ -185,6 +186,29 @@ def test_unhealthy_sampling_raises(monkeypatch):
     assert exc.value.report.skipped > 5
 
 
+@pytest.mark.parametrize("every,skipped", [(99, 102), (100, 100), (102, 99)])
+def test_sampling_health_gate_admits_at_most_one_percent_of_skips(monkeypatch, every, skipped):
+    # left-invariance records one row per sample, and a norm that is NaN on
+    # every k-th row of each batch skips rows 0, k, 2k, ... of 10000.
+    key = ("einstein", "rapidity")
+    gyronorm = registry.GYRONORMS[key]
+
+    def holed(v):
+        out = gyronorm.norm(v)
+        out[::every] = np.nan
+        return out
+
+    monkeypatch.setitem(registry.GYRONORMS, key, gyronorm._replace(norm=holed))
+    cfg = CheckConfig(samples=10_000)
+    if skipped > 100:
+        with pytest.raises(SamplingHealthError) as exc:
+            run_suite("einstein", "left-invariance", cfg)
+        report = exc.value.report
+    else:
+        report = run_suite("einstein", "left-invariance", cfg)
+    assert (report.skipped, report.properties[0].checked) == (skipped, 10_000 - skipped)
+
+
 @pytest.mark.parametrize("suite", ["gyronorm", "metric"])
 def test_nan_gyronorm_fails_the_sampling_health_gate(monkeypatch, suite):
     # Properties whose every row is non-finite are reported as skipped, but
@@ -224,7 +248,6 @@ def test_topology_suite_runs_on_einstein():
 
 def test_topology_runs_on_every_model_that_registers_both_gyronorms(monkeypatch):
     # The admitted models and the two compared norms come from the registry.
-    from gyroball import registry
     monkeypatch.setitem(registry.GYRONORMS, ("mobius", "euclidean"),
                         registry.GYRONORMS["einstein", "euclidean"])
     report = run_suite("mobius", "topology", CheckConfig(samples=1000))
@@ -262,6 +285,40 @@ def test_homogeneity_isotropy_checks_the_core_witnesses(monkeypatch):
                                                          Gyration(a, b))))
     assert failing(run_suite("einstein", "homogeneity-isotropy", FAST)) == {
         "homogeneity-maps-x-to-y", "isotropy-fixes-p"}
+
+
+# --- the recorder on synthetic rows -----------------------------------------
+
+def _recorded(*checks):
+    """Results of ``less_equal(name, lhs, 0)`` for each (name, lhs), then of
+    the equivalence verdict on the last two."""
+    run = _SuiteRun(get_normed("einstein"), FAST)
+    for name, lhs in checks:
+        run.less_equal(name, {"x": lhs}, lhs, np.zeros_like(lhs))
+    if len(checks) > 1:
+        run.equivalence_verdict()
+    return run.results
+
+
+def test_a_single_failing_row_fails_its_property():
+    lhs = np.zeros(100)
+    lhs[37] = 1e-6
+    (res,) = _recorded(("p", lhs))
+    assert (res.status, res.checked, res.failed) == ("fail", 100, 1)
+    assert [c.sample_index for c in res.failures] == [37]
+
+
+@pytest.mark.parametrize("first,second", [(0, 0), (0, 3), (2, 0), (1, 4)])
+def test_equivalence_consistency_fails_when_one_condition_alone_is_violated(first, second):
+    rows = []
+    for violations in (first, second):
+        lhs = np.zeros(100)
+        lhs[:violations] = 1.0
+        rows.append(lhs)
+    *conditions, verdict = _recorded(("first", rows[0]), ("second", rows[1]))
+    assert [c.failed for c in conditions] == [first, second]
+    assert verdict.name == "equivalence-consistency"
+    assert verdict.status == ("pass" if (first > 0) == (second > 0) else "fail")
 
 
 # --- probe checks: broadcast (N, 1, n) x (1, P, n) rows ----------------------

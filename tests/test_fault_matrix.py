@@ -1,8 +1,9 @@
 """The suites' power to catch faults, pinned per fault.
 
-Each fault is a registered model with one callable replaced.  Every
-(gyronorm, suite) pair of the model runs on the faulted and the unfaulted
-model, and the test asserts the set of suites whose verdict differs.  A
+Each fault is a registered model with one callable, or one gyronorm,
+replaced.  Every (gyronorm, suite) pair of the model runs on the faulted and
+the unfaulted model, and the test asserts the set of suites whose verdict
+differs.  A
 change that drops rows or weakens a check shrinks such a set and fails here.
 """
 
@@ -11,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gyroball import CheckConfig, SamplingHealthError, UnknownNameError, run_suite
+from gyroball import CheckConfig, SamplingHealthError, UnknownNameError, registry, run_suite
 from gyroball.engine import SUITE_NAMES
 from gyroball.mobius import mobius_add, mobius_gyr
 from gyroball.registry import get_normed, gyronorm_names
@@ -78,3 +79,27 @@ def test_fault_flips_the_verdicts_of_known_suites(monkeypatch, fault):
         flipped = {s for s in SUITE_NAMES
                    if _verdict(model, gyronorm, s) != clean[gyronorm, s]}
         assert flipped == expected, (gyronorm, flipped)
+
+
+# Replacements r -> f(r) of the einstein rapidity norm -> suites whose verdict
+# the fault flips under that gyronorm.  The faults above leave every norm
+# exact; these break what only a norm can: r * 1e-8 sinks below
+# POSITIVITY_FLOOR, r ** 1.1 breaks subadditivity and the triangle
+# inequality, and 1.5 r leaves the tanh(eps) balls of the topology suite.
+NORM_FAULTS = {
+    "shrunk-rapidity-norm": (lambda r: 1e-8 * r, {"gyronorm", "metric", "topology"}),
+    "superlinear-rapidity-norm": (lambda r: r ** 1.1, {"gyronorm", "metric", "topology"}),
+    "stretched-rapidity-norm": (lambda r: 1.5 * r, {"topology"}),
+}
+
+
+@pytest.mark.parametrize("fault", NORM_FAULTS)
+def test_gyronorm_fault_flips_the_verdicts_of_known_suites(monkeypatch, fault):
+    change, expected = NORM_FAULTS[fault]
+    key = ("einstein", "rapidity")
+    clean = {s: _verdict(*key, s) for s in SUITE_NAMES}
+    gyronorm = registry.GYRONORMS[key]
+    monkeypatch.setitem(registry.GYRONORMS, key,
+                        gyronorm._replace(norm=lambda v: change(gyronorm.norm(v))))
+    flipped = {s for s in SUITE_NAMES if _verdict(*key, s) != clean[s]}
+    assert flipped == expected, flipped

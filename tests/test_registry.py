@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,15 @@ from gyroball.registry import (
     gyronorm_names,
 )
 from gyroball.vectors import sample_ball_points
+
+PACKAGE = Path(gyroball.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _modules():
+    """(path, syntax tree) of every module of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
 
 
 @pytest.mark.parametrize("key", list(GYRONORMS), ids="-".join)
@@ -74,10 +84,41 @@ def test_cli_tables_are_the_registry_tables():
 def test_only_the_registry_names_a_model_or_gyronorm():
     names = set(MODEL_NAMES) | {g for _, g in GYRONORMS}
     found = []
-    for path in sorted(Path(gyroball.__file__).parent.glob("*.py")):
+    for path, tree in _modules():
         if path.name == "registry.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and node.value in names:
                 found.append(f"{path.name}:{node.lineno} {node.value!r}")
     assert not found, found
+
+
+def test_all_lists_every_name_the_package_binds():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Assign):
+            bound |= {t.id for t in node.targets}
+    assert sorted(bound - {"__all__", "__version__"}) == sorted(gyroball.__all__)
+
+
+def test_every_public_name_is_used_in_the_package_or_documented():
+    # A public name that no other module reads is kept only as documented
+    # API; anything else only tests would reach.
+    used = set()
+    for path, tree in _modules():
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+    api = README.read_text().split("\n## Python API\n")[1].split("\n## ")[0]
+    documented = set(re.findall(r"\w+", api))
+    orphans = [name for name in gyroball.__all__ if name not in used | documented]
+    assert not orphans, orphans
