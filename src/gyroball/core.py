@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegeneracyError, LeftInvarianceError
 from .rng import make_rng
-from .vectors import DEFAULT_ATOL, DEFAULT_RTOL, euclidean_norm
+from .vectors import DEFAULT_ATOL, DEFAULT_RTOL, ensure_finite, euclidean_norm
 
 # Sampled triples (a, x, y) on which gyronorm_from_metric checks left invariance.
 INVARIANCE_SAMPLES = 200
@@ -229,6 +229,8 @@ def double(v):
 
 def euclidean_distance(u, v):
     """|v - u|, the metric of the group's Euclidean gyronorm."""
+    ensure_finite(u)
+    ensure_finite(v)
     return euclidean_norm(np.asarray(v, dtype=float) - np.asarray(u, dtype=float))
 
 
@@ -240,5 +242,7 @@ def discrete_norm(x):
 
 def discrete_distance(u, v):
     """The discrete metric, the one discrete_norm induces on the group."""
+    ensure_finite(u)
+    ensure_finite(v)
     return discrete_norm(np.asarray(v, dtype=float) - np.asarray(u, dtype=float))
 

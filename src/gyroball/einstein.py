@@ -45,7 +45,10 @@ def gyronorm_E(v):
 
 def rapidity_metric_dE(u, v):
     """Rapidity metric atanh(|neg u + v|), the Cayley-Klein distance."""
-    return gyronorm_E(einstein_add(-np.asarray(u, dtype=float), v))
+    u = np.asarray(u, dtype=float)
+    ensure_in_ball(u)
+    ensure_in_ball(np.asarray(v, dtype=float))
+    return gyronorm_E(einstein_add(-u, v))
 
 
 def gyrometric_de(u, v):

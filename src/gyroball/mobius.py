@@ -79,7 +79,10 @@ def mobius_gyr(u, v, w):
     g = np.eye(n) + ((ssq + pu + pv) * lm + 2.0 * (lm @ lm)) / (ssq + pu * pv)
     # One output coordinate at a time: unlike np.matmul, this gives each row
     # the same bits however the leading axes broadcast.
-    return np.stack([dot(g[..., i, :], w) for i in range(n)], axis=-1)
+    out = np.empty(np.broadcast_shapes(g.shape[:-1], w.shape))
+    for i in range(n):
+        out[..., i] = dot(g[..., i, :], w)
+    return out
 
 
 def gyronorm_M(v):
@@ -97,6 +100,7 @@ def rapidity_metric_dM(u, v):
     """Rapidity metric of the Mobius model, half the Poincare distance."""
     u = np.asarray(u, dtype=float)
     ensure_in_ball(u)
+    ensure_in_ball(np.asarray(v, dtype=float))
     return gyronorm_M(mobius_add(-u, v))
 
 

@@ -49,7 +49,7 @@ def dot(u, v):
         return np.einsum("...i,...i->...", u, v)
     s = u[..., 0] * v[..., 0]
     for j in range(1, n):
-        s = s + u[..., j] * v[..., j]
+        s += u[..., j] * v[..., j]
     return s
 
 
@@ -58,8 +58,16 @@ def euclidean_norm(v):
     return np.sqrt(dot(v, v))
 
 
+def ensure_finite(v) -> None:
+    """Raise DomainError if any coordinate is NaN or infinite."""
+    if not np.all(np.isfinite(v)):
+        raise DomainError("point has non-finite coordinates")
+
+
 def ensure_in_ball(v) -> None:
-    """Raise BoundaryError if any point has norm >= 1 - BOUNDARY_GUARD."""
+    """Raise DomainError if any coordinate is not finite, and BoundaryError
+    if any point has norm >= 1 - BOUNDARY_GUARD."""
+    ensure_finite(v)
     nrm = euclidean_norm(v)
     if np.any(nrm >= 1.0 - BOUNDARY_GUARD):
         worst = float(np.max(nrm))
@@ -75,6 +83,8 @@ def atanh_guarded(x):
     requirement.
     """
     x = np.asarray(x, dtype=float)
+    if np.any(np.isnan(x)):
+        raise DomainError("atanh_guarded got a NaN argument")
     if np.any(x < 0.0):
         raise DomainError(f"atanh_guarded expects a nonnegative argument, got {float(np.min(x))!r}")
     if np.any(x >= 1.0 - BOUNDARY_GUARD):

@@ -46,7 +46,7 @@ MUTANTS = [
      "ok = err <= bound", "ok = err < bound",
      "equivalent: stricter, and differs only on a row whose error equals its bound"),
     ("eq-bound-from-rhs-alone",
-     "bound = np.maximum(np.abs(lhs), np.abs(rhs))", "bound = np.abs(rhs)",
+     "bound = np.abs(lhs, out=np.empty(shape))", "bound = np.abs(rhs, out=np.empty(shape))",
      "equivalent: stricter by at most rtol * |lhs - rhs|, far below atol where rows pass"),
     ("le-diff-unclamped",
      "diff = np.maximum(diff, 0.0)", "diff = diff",
@@ -54,6 +54,13 @@ MUTANTS = [
     ("isotropy-moves-every-probe",
      ".any(axis=1)", ".all(axis=1)",
      "equivalent: stricter, and a curved model's gyration moves every sampled probe"),
+    ("every-row-finite",
+     "finite = np.isfinite(err)", "finite = np.ones(shape, dtype=bool)", KILLED),
+    ("overflowed-pair-skipped",
+     "finite[bad] = operands.all(axis=-1) if by_row else operands", "finite[bad] = False",
+     KILLED),
+    ("isotropy-scans-probe-0-only",
+     "if rest.any():", "if False:", KILLED),
 ]
 
 

@@ -321,6 +321,68 @@ def test_equivalence_consistency_fails_when_one_condition_alone_is_violated(firs
     assert verdict.status == ("pass" if (first > 0) == (second > 0) else "fail")
 
 
+# Rows of a synthetic check: (lhs, rhs) per row, and the expected outcome
+# per mode: "skip", "fail" or "pass".  Two finite pairs overflow their
+# difference: 1e308 - (-1e308) is +inf, which fails both modes, and
+# -1e308 - 1e308 is -inf, which fails "eq" and passes "le".
+NON_FINITE_ROWS = [
+    ((0.0, 0.0), {"eq": "pass", "le": "pass"}),
+    ((-1e308, 1e308), {"eq": "fail", "le": "pass"}),
+    ((np.nan, 0.0), {"eq": "skip", "le": "skip"}),
+    ((1e308, -1e308), {"eq": "fail", "le": "fail"}),
+    ((np.inf, 0.0), {"eq": "skip", "le": "skip"}),
+    ((1.0, 0.0), {"eq": "fail", "le": "fail"}),
+    ((-np.inf, 0.0), {"eq": "skip", "le": "skip"}),
+]
+
+
+def _synthetic_rows(side, block):
+    """(lhs, rhs) of NON_FINITE_ROWS, the non-finite value on ``side``.
+    As 1-D rows, or as (2, 4, 2) block rows, one row per (block, probe)
+    index whose coordinate 1 carries the pair and coordinate 0 agrees; the
+    eighth row passes."""
+    pairs = [pair if side == "lhs" or np.isfinite(pair[0]) else (pair[1], pair[0])
+             for pair, _ in NON_FINITE_ROWS]
+    lhs, rhs = (np.array([p[k] for p in pairs]) for k in (0, 1))
+    if not block:
+        return lhs, rhs
+    lhs, rhs = (np.stack([np.full(8, 0.5), np.append(v, 0.0)], axis=-1).reshape(2, 4, 2)
+                for v in (lhs, rhs))
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("block", (False, True), ids=("1-D", "block"))
+@pytest.mark.parametrize("side", ("lhs", "rhs"))
+@pytest.mark.parametrize("mode", ("eq", "le"))
+def test_recorder_skips_non_finite_rows_and_checks_overflowed_ones(mode, side, block):
+    lhs, rhs = _synthetic_rows(side, block)
+    run = _SuiteRun(get_normed("einstein"), FAST)
+    record = run.equal if mode == "eq" else run.less_equal
+    # Recorded in two parts, as a probe check's blocks are.
+    record("p", {"x": lhs[:1]}, lhs[:1], rhs[:1])
+    record("p", {"x": lhs[1:]}, lhs[1:], rhs[1:])
+    (res,) = run.results
+    outcomes = [expected[mode] for _, expected in NON_FINITE_ROWS] + ["pass"] * block
+    failing = [i for i, o in enumerate(outcomes) if o == "fail"]
+    skipped = outcomes.count("skip")
+    assert (res.status, res.checked, res.failed, res.skipped, run.skipped) == (
+        "fail", len(outcomes) - skipped, len(failing), skipped, skipped)
+    assert [c.sample_index for c in res.failures] == failing
+    flat_lhs, flat_rhs = (v.reshape(len(outcomes), -1) for v in (lhs, rhs))
+    for c in res.failures:
+        i = c.sample_index
+        row_lhs, row_rhs = flat_lhs[i].tolist(), flat_rhs[i].tolist()
+        if not block:
+            row_lhs, row_rhs = row_lhs[0], row_rhs[0]
+        assert (c.inputs, c.lhs, c.rhs) == ({"x": row_lhs}, row_lhs, row_rhs)
+        # A 1-D row's diff is its difference; a block row's is the largest
+        # finite coordinate difference, so an overflowed coordinate gives 0.
+        diff = 1.0
+        if abs(flat_lhs[i, -1]) == 1e308:
+            diff = 0.0 if block else np.inf
+        assert c.diff == diff
+
+
 # --- probe checks: broadcast (N, 1, n) x (1, P, n) rows ----------------------
 
 BROADCAST_MODELS = (("einstein", 1), ("einstein", 3), ("einstein", 5),
@@ -356,6 +418,66 @@ def test_kernels_are_bitwise_equal_under_broadcasting(model, dim):
         for i, j in ((0, 1), (1, 17), (17, n)):
             part = f(a[i:j, None], b[i:j, None], probes[None])
             assert np.array_equal(np.broadcast_to(part, (j - i, p, dim)), whole[i:j]), (name, i, j)
+
+
+@pytest.mark.parametrize("model,dim", [(m, d) for m in registry.MODEL_NAMES
+                                       for d in ((2,) if m in registry.COMPLEX_MODELS
+                                                 else (1, 2, 3, 7, 8, 16))])
+def test_gyration_rows_keep_their_bits_when_probes_are_rolled_or_sliced(model, dim):
+    # The row contract that the axioms suite relies on when it rolls
+    # gyr[a, b]x into gyr[a, b]y, and that the isotropy scan relies on when
+    # it gyrates probe 0 alone and then the other probes of some pairs.
+    m = get_normed(model, dim=dim).model
+    rng = make_rng(17)
+    aP, bP = m.sample(rng, 50)[:, None], m.sample(rng, 50)[:, None]
+    xP = m.sample(rng, 9)[None]
+    full = m.gyr(aP, bP, xP)
+    assert full.shape == (50, 9, dim)
+    rolled = m.gyr(aP, bP, np.roll(xP, 1, axis=1))
+    assert np.array_equal(rolled, np.roll(full, 1, axis=1))
+    assert np.array_equal(m.gyr(aP, bP, xP[:, :1]), full[:, :1])
+    k = make_rng(18).random(50) < 0.3
+    assert np.array_equal(m.gyr(aP[k], bP[k], xP[:, 1:]), full[k][:, 1:])
+
+
+def _isotropy_row_moved(monkeypatch, fixed):
+    """The isotropy-moves-a-probe result of mobius at dim 3 when its
+    gyrations leave the probes that ``fixed(probe_index)`` names in place and
+    move the others, and the per-pair result of a scan of every probe."""
+    cfg = CheckConfig(samples=300, seed=5)
+    nm = get_normed("mobius", dim=3)
+    m = nm.model
+    # The suite draws x, y, u, v, a, b and p, then the probes.
+    rng = make_rng(cfg.seed)
+    _, _, _, _, a, b, _ = (m.sample(rng, cfg.samples) for _ in range(7))
+    probes = m.sample(rng, cfg.probes)
+    kept = probes[[j for j in range(cfg.probes) if fixed(j)]]
+
+    def gyr(a, b, x):
+        x = np.asarray(x, dtype=float)
+        keep = (x[..., None, :] == kept).all(axis=-1).any(axis=-1)[..., None]
+        return np.where(keep, x, m.closed_gyr(a, b, x))
+
+    nm = dataclasses.replace(nm, model=dataclasses.replace(m, closed_gyr=gyr))
+    monkeypatch.setattr("gyroball.engine.get_normed",
+                        lambda name, dim=None, gyronorm=None: nm)
+    report = run_suite("mobius", "homogeneity-isotropy", cfg)
+    prop = next(p for p in report.properties if p.name == "isotropy-moves-a-probe")
+    moved = gyr(a[:, None], b[:, None], probes[None]) != probes[None]
+    return prop, moved.any(axis=-1).any(axis=-1)
+
+
+def test_isotropy_scan_finds_a_later_probe_when_probe_0_is_fixed(monkeypatch):
+    prop, full_scan = _isotropy_row_moved(monkeypatch, lambda j: j == 0)
+    assert full_scan.all()
+    assert (prop.status, prop.checked, prop.failed) == ("pass", 300, 0)
+
+
+def test_isotropy_scan_fails_gyrations_that_fix_every_probe(monkeypatch):
+    prop, full_scan = _isotropy_row_moved(monkeypatch, lambda j: True)
+    assert not full_scan.any()
+    assert (prop.status, prop.checked, prop.failed) == ("fail", 300, 300)
+    assert {c.lhs for c in prop.failures} == {0.0}
 
 
 PROBE_PROPERTIES = {

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gyroball
-from gyroball import CheckConfig, cli, get_model, get_normed, make_rng, run_suite
+from gyroball import CheckConfig, DomainError, cli, get_model, get_normed, make_rng, run_suite
 from gyroball.registry import (
     COMPLEX_MODELS,
     CONVERSIONS,
@@ -41,6 +41,15 @@ def test_public_metric_equals_engine_distance_bitwise(key):
         engine = np.asarray(get_normed(model, dim, gyronorm).distance(u, v), dtype=float)
         assert public.shape == engine.shape == (500,)
         assert public.tobytes() == engine.tobytes(), (key, dim)
+
+
+@pytest.mark.parametrize("key", list(GYRONORMS), ids="-".join)
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_public_metric_rejects_non_finite_points(key, bad):
+    point, origin = np.array([bad, 0.0]), np.zeros(2)
+    for u, v in ((point, origin), (origin, point)):
+        with pytest.raises(DomainError, match="non-finite"):
+            GYRONORMS[key].metric(u, v)
 
 
 def test_every_model_has_a_default_dim_and_a_registered_default_gyronorm():

@@ -50,12 +50,19 @@ def test_atanh_guarded_domain_errors():
         atanh_guarded(1 - 1e-13)
     with pytest.raises(DomainError):
         atanh_guarded(-0.1)
+    with pytest.raises(DomainError, match="NaN"):
+        atanh_guarded(np.array([0.5, np.nan]))
 
 
 def test_ensure_in_ball_rejects_boundary():
     ensure_in_ball(np.array([0.999, 0.0]))
     with pytest.raises(BoundaryError):
         ensure_in_ball(np.array([1.0, 0.0]))
+    # Non-finite coordinates are refused before the norm is compared, where
+    # NaN would compare false with the guard.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="non-finite"):
+            ensure_in_ball(np.array([[0.0, 0.0], [bad, 0.0]]))
 
 
 def test_cauchy_schwarz_on_samples():
