@@ -8,14 +8,8 @@ the arithmetic is auditable.
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .vectors import (
-    arctanh_unchecked,
-    atanh_guarded,
-    dot,
-    ensure_in_ball,
-    euclidean_norm,
-    promote_float,
-)
+from .mobius import gyronorm_M, rapidity_norm_unchecked
+from .vectors import dot, ensure_in_ball, promote_float
 
 _ONE = np.array([1.0, 0.0])
 
@@ -62,18 +56,19 @@ def poincare_metric(w, z):
     z = np.asarray(z, dtype=float)
     ensure_in_ball(w)
     ensure_in_ball(z)
-    return 2.0 * atanh_guarded(euclidean_norm(cmobius_add(-w, z)))
+    return 2.0 * gyronorm_M(cmobius_add(-w, z))
 
 
 def poincare_norm_unchecked(z):
-    """Engine-facing disk gyronorm; no boundary guard."""
-    return 2.0 * arctanh_unchecked(euclidean_norm(z))
+    """Engine-facing disk gyronorm 2 atanh|z|; no boundary guard."""
+    return 2.0 * rapidity_norm_unchecked(z)
 
 
 def ball_coordinates(p):
     """The carrier identification x + iy <-> (x, y) between the disk and the
     2-dimensional vector Mobius ball, an isomorphism; the identity on
-    coordinates, defined for 2-vectors only."""
+    coordinates, defined for 2-vectors only.  An unchecked kernel, like phi:
+    it checks the dim but no point; ``gyroball convert`` checks them."""
     p = np.asarray(p, dtype=float)
     if p.shape[-1] != 2:
         raise DimensionMismatchError("disk conversions require dim = 2")

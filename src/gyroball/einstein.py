@@ -2,20 +2,15 @@
 
 Gyrations, per-pair rotation matrices below dim 8, are borrowed from the
 Mobius model: phi is radial and gyrations are orthogonal, so
-gyr_E[u, v] = gyr_M[phi_inv u, phi_inv v].
+gyr_E[u, v] = gyr_M[phi_inv u, phi_inv v].  So is the rapidity gyronorm
+atanh|v|, guarded (gyronorm_E) and engine-facing (rapidity_norm_unchecked).
 """
 
 import numpy as np
 
-from .mobius import mobius_gyr, phi_inv
-from .vectors import (
-    arctanh_unchecked,
-    atanh_guarded,
-    dot,
-    ensure_in_ball,
-    euclidean_norm,
-    promote_float,
-)
+from .mobius import gyronorm_M as gyronorm_E
+from .mobius import mobius_gyr, phi_inv, rapidity_norm_unchecked
+from .vectors import dot, ensure_in_ball, euclidean_norm, promote_float
 
 
 def einstein_add(u, v):
@@ -36,13 +31,6 @@ def einstein_gyr(u, v, w):
     return mobius_gyr(phi_inv(u), phi_inv(v), w)
 
 
-def gyronorm_E(v):
-    """Rapidity gyronorm atanh(|v|); raises near the rim."""
-    v = np.asarray(v, dtype=float)
-    ensure_in_ball(v)
-    return atanh_guarded(euclidean_norm(v))
-
-
 def rapidity_metric_dE(u, v):
     """Rapidity metric atanh(|neg u + v|), the Cayley-Klein distance."""
     u = np.asarray(u, dtype=float)
@@ -58,7 +46,3 @@ def gyrometric_de(u, v):
     ensure_in_ball(np.asarray(v, dtype=float))
     return euclidean_norm(einstein_add(-u, v))
 
-
-def rapidity_norm_unchecked(v):
-    """Engine-facing rapidity norm; out-of-ball rows become non-finite."""
-    return arctanh_unchecked(euclidean_norm(v))

@@ -1,11 +1,18 @@
 """Mobius gyrogroup on the open unit ball and its isomorphism with the
-Einstein model."""
+Einstein model.
+
+The rapidity gyronorm atanh|v| is written here once, guarded and
+engine-facing, for every model that has it: on the Mobius ball it is half the
+Einstein rapidity of phi(v) by the hyperbolic double angle, the Einstein ball
+takes it as is, and the disk's Poincare gyronorm is twice it.  Each metric
+built on it checks both points with ``ensure_in_ball``, then raises
+BoundaryError exactly when the sum neg u (+) v lies within 1e-12 of the rim.
+"""
 
 import numpy as np
 
 from .vectors import (
     SHORT_AXIS,
-    arctanh_unchecked,
     atanh_guarded,
     dot,
     ensure_in_ball,
@@ -28,7 +35,13 @@ def mobius_add(u, v):
 
 
 def phi(v):
-    """Isomorphism onto the Einstein model: v -> 2v / (1 + |v|^2)."""
+    """Isomorphism onto the Einstein model: v -> 2v / (1 + |v|^2).
+
+    An unchecked kernel, as phi_inv is: the engine's homomorphism check calls
+    them, and ``einstein_gyr`` calls phi_inv, on every batch, so they check no
+    points, and phi maps a point outside the ball inside it.  ``gyroball
+    convert`` is the checked entry point.
+    """
     v = np.asarray(v, dtype=float)
     vsq = dot(v, v)[..., None]
     return 2.0 * v / (1.0 + vsq)
@@ -39,6 +52,7 @@ def phi_inv(w):
 
     This is the radical form (1 - sqrt(1 - |w|^2)) / |w|^2 times w with the
     cancelling difference rationalised away, so it needs no branch at w = 0.
+    An unchecked kernel, like phi: a point outside the ball gives NaN.
     """
     w = np.asarray(w, dtype=float)
     wsq = dot(w, w)[..., None]
@@ -86,14 +100,10 @@ def mobius_gyr(u, v, w):
 
 
 def gyronorm_M(v):
-    """Gyronorm pulled back through phi: half the Einstein rapidity of phi(v).
-
-    Computed by the defining formula; the closed form atanh(|v|) lives only in
-    the tests that verify the simplification.
-    """
+    """Rapidity gyronorm atanh|v|; raises BoundaryError within 1e-12 of the rim."""
     v = np.asarray(v, dtype=float)
     ensure_in_ball(v)
-    return 0.5 * atanh_guarded(euclidean_norm(phi(v)))
+    return atanh_guarded(euclidean_norm(v))
 
 
 def rapidity_metric_dM(u, v):
@@ -105,5 +115,10 @@ def rapidity_metric_dM(u, v):
 
 
 def rapidity_norm_unchecked(v):
-    """Engine-facing Mobius rapidity norm; no boundary guard."""
-    return 0.5 * arctanh_unchecked(euclidean_norm(phi(v)))
+    """Engine-facing rapidity gyronorm atanh|v|; no boundary guard.
+
+    Rows on or outside the rim become inf or nan without a warning, so the
+    property engine can skip a bad sample instead of aborting a suite.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.arctanh(euclidean_norm(v))

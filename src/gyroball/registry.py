@@ -37,7 +37,9 @@ COMPLEX_MODELS = ("poincare-disk",)
 
 # One gyronorm of a model.  The suites verify the distance that the engine's
 # unguarded ``norm`` induces, norm(neg x + y); ``metric(u, v)`` is the same
-# distance behind the boundary guards, the one `gyroball dist` prints.
+# distance behind the boundary guards, the one `gyroball dist` prints.  Both
+# ball rapidity gyronorms are the atanh|v| of mobius.py, the disk's is twice
+# it, and their metrics follow the one rim rule stated there.
 Gyronorm = namedtuple("Gyronorm", "norm metric")
 
 GYRONORMS = {

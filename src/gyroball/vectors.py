@@ -95,16 +95,6 @@ def atanh_guarded(x):
     return float(out) if out.ndim == 0 else out
 
 
-def arctanh_unchecked(x):
-    """atanh without guards; out-of-domain inputs yield inf/nan silently.
-
-    The property engine uses this so that a bad sample shows up as a
-    skippable non-finite row instead of aborting a whole suite.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.arctanh(np.asarray(x, dtype=float))
-
-
 def sample_ball_points(n, count, rng, cap=SAMPLE_RADIUS_CAP):
     """Draw ``count`` points of dimension ``n`` with norm <= cap.
 

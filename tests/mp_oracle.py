@@ -67,3 +67,8 @@ def phi_inv(w):
         return [(1 - mpmath.sqrt(1 - wsq)) / wsq * x for x in w]
 
     return _rows(one, w)
+
+
+def rapidity(v):
+    """atanh|v|, the rapidity gyronorm, one value per row."""
+    return _rows(lambda v: [mpmath.atanh(mpmath.sqrt(_dot(v, v)))], v)[:, 0]

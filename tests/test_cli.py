@@ -124,6 +124,16 @@ def test_dist_examples(capsys):
     assert float(out) == pytest.approx(math.atanh(0.8), abs=1e-12)
 
 
+def test_dist_mobius_near_the_rim(capsys):
+    # |v| = 1 - 1e-7: the Mobius rapidity atanh|v| equals the Einstein one.
+    code, out, err = run_cli(capsys, "dist", "--model", "mobius",
+                             "--u", "0,0", "--v", "0.9999999,0")
+    assert (code, out, err) == (0, "8.4056213910223097\n", "")
+    code, out, err = run_cli(capsys, "dist", "--model", "mobius",
+                             "--u", "0,0", "--v", "0.999999999999,0")
+    assert code == 3 and out == "" and "boundary guard" in err
+
+
 def test_dist_unknown_gyronorm_exits_2(capsys):
     code, _, err = run_cli(capsys, "dist", "--model", "mobius",
                            "--gyronorm", "poincare", "--u", "0,0,0", "--v", "0.1,0,0")
@@ -150,6 +160,13 @@ def test_convert_examples(capsys):
                            "--to", "mobius", "0.8,0")
     assert code == 0
     assert np.allclose(parse_point(out.strip()), [0.5, 0.0], atol=1e-12)
+
+
+def test_convert_rejects_a_point_outside_the_ball(capsys):
+    # phi maps [2, 0] inside the ball; the command checks the point first.
+    code, out, err = run_cli(capsys, "convert", "--from", "mobius",
+                             "--to", "einstein", "2,0")
+    assert code == 3 and out == "" and "boundary guard" in err
 
 
 def test_convert_round_trip(capsys):

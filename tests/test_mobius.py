@@ -5,6 +5,7 @@ import pytest
 
 import mp_oracle
 from gyroball import (
+    CheckConfig,
     einstein_add,
     euclidean_norm,
     get_model,
@@ -16,6 +17,7 @@ from gyroball import (
     phi_inv,
     poincare_metric,
     rapidity_metric_dM,
+    run_suite,
     sample_ball_points,
 )
 from gyroball.vectors import dot
@@ -104,7 +106,35 @@ def test_gyronorm_closed_form():
     # hyperbolic double angle: half the rapidity of phi(v) is atanh |v|
     v = sample_ball_points(4, 10_000, make_rng(53))
     assert np.allclose(gyronorm_M(v), np.arctanh(euclidean_norm(v)), atol=1e-12)
+    pulled_back = 0.5 * np.arctanh(euclidean_norm(phi(v)))
+    assert np.allclose(gyronorm_M(v), pulled_back, rtol=0, atol=1e-12)
 
+
+# atanh|v| amplifies the rounding of |v| by |v| / ((1 - |v|^2) atanh|v|),
+# about 5e7 at radius 1 - 1e-9.  Worst relative errors measured here:
+# 6.1e-16, 9.6e-12 and 6.6e-9; each bound is about ten times that.
+RIM_RAPIDITY_BOUNDS = {0.95: 1e-13, 1 - 1e-6: 1e-10, 1 - 1e-9: 1e-7}
+
+
+@pytest.mark.parametrize("radius", RIM_RAPIDITY_BOUNDS)
+@pytest.mark.parametrize("dim", [2, 3, 5, 10])
+def test_gyronorm_and_metric_match_oracle_at_the_rim(dim, radius):
+    dirs = sample_ball_points(dim, 50, make_rng(110 + dim))
+    v = dirs / euclidean_norm(dirs)[:, None] * radius
+    ref = mp_oracle.rapidity(v)
+    for got in (gyronorm_M(v), rapidity_metric_dM(np.zeros(dim), v)):
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - ref) / ref) <= RIM_RAPIDITY_BOUNDS[radius]
+
+
+
+@pytest.mark.parametrize("suite", ["metric", "left-invariance", "isometry", "mazur-ulam"])
+def test_metric_suites_pass_at_tolerance_1e_12(suite):
+    # The gyronorm atanh|v| is accurate to a few ulps, so the suites built on
+    # the metric resolve far below the default tolerance 1e-9.
+    cfg = CheckConfig(samples=10_000, seed=42, atol=1e-12, rtol=1e-12)
+    report = run_suite("mobius", suite, cfg, dim=3)
+    assert report.passed, report.to_json()
 
 def test_rapidity_metric_examples():
     v = np.array([0.5, 0.0])
