@@ -18,17 +18,8 @@ from .core import (
     isotropy_witness,
     mazur_ulam_decompose,
 )
-from .disk import (
-    cmobius_add,
-    cmobius_gyr_factor,
-    poincare_metric,
-)
-from .einstein import (
-    einstein_add,
-    gyrometric_de,
-    gyronorm_E,
-    rapidity_metric_dE,
-)
+from .disk import cmobius_add, cmobius_gyr_factor
+from .einstein import einstein_add, gyronorm_E
 from .engine import CheckConfig, CheckReport, run_suite, SUITE_NAMES
 from .errors import (
     BoundaryError,
@@ -40,8 +31,16 @@ from .errors import (
     SamplingHealthError,
     UnknownNameError,
 )
-from .mobius import gyronorm_M, mobius_add, phi, phi_inv, rapidity_metric_dM
-from .registry import MODEL_NAMES, get_model, get_normed
+from .mobius import gyronorm_M, mobius_add, phi, phi_inv
+from .registry import (
+    MODEL_NAMES,
+    get_model,
+    get_normed,
+    gyrometric_de,
+    poincare_metric,
+    rapidity_metric_dE,
+    rapidity_metric_dM,
+)
 from .rng import make_rng
 from .vectors import atanh_guarded, euclidean_norm, sample_ball_points
 
@@ -50,13 +49,14 @@ __all__ = [
     "Gyration", "GyrogroupModel", "GyronormedModel", "IsometrySpec", "LeftTranslation",
     "apply_isometry", "gyr_via_gyrator_identity", "gyronorm_from_metric",
     "homogeneity_witness", "isotropy_witness", "mazur_ulam_decompose",
-    "cmobius_add", "cmobius_gyr_factor", "poincare_metric",
-    "einstein_add", "gyrometric_de", "gyronorm_E", "rapidity_metric_dE",
+    "cmobius_add", "cmobius_gyr_factor",
+    "einstein_add", "gyronorm_E",
     "CheckConfig", "CheckReport", "run_suite", "SUITE_NAMES",
     "BoundaryError", "DegeneracyError", "DimensionMismatchError", "DomainError",
     "GyroError", "LeftInvarianceError", "SamplingHealthError", "UnknownNameError",
-    "gyronorm_M", "mobius_add", "phi", "phi_inv", "rapidity_metric_dM",
-    "MODEL_NAMES", "get_model", "get_normed",
+    "gyronorm_M", "mobius_add", "phi", "phi_inv",
+    "MODEL_NAMES", "get_model", "get_normed", "gyrometric_de", "poincare_metric",
+    "rapidity_metric_dE", "rapidity_metric_dM",
     "make_rng",
     "atanh_guarded", "euclidean_norm", "sample_ball_points",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegeneracyError, LeftInvarianceError
 from .rng import make_rng
-from .vectors import DEFAULT_ATOL, DEFAULT_RTOL, ensure_finite, euclidean_norm
+from .vectors import DEFAULT_ATOL, DEFAULT_RTOL, euclidean_norm
 
 # Sampled triples (a, x, y) on which gyronorm_from_metric checks left invariance.
 INVARIANCE_SAMPLES = 200
@@ -102,7 +102,10 @@ def gyronorm_from_metric(m, d, rng=None):
     lhs = np.asarray(d(m.add(a, x), m.add(a, y)), dtype=float)
     rhs = np.asarray(d(x, y), dtype=float)
     bound = DEFAULT_ATOL + DEFAULT_RTOL * np.maximum(np.abs(lhs), np.abs(rhs))
-    excess = np.abs(lhs - rhs) - bound
+    with np.errstate(invalid="ignore"):
+        excess = np.abs(lhs - rhs) - bound
+    # A NaN or infinite distance violates the check; NaN > 0 would not.
+    excess[~(np.isfinite(lhs) & np.isfinite(rhs))] = np.inf
     if np.any(excess > 0.0):
         i = int(np.argmax(excess))
         raise LeftInvarianceError(
@@ -227,22 +230,7 @@ def double(v):
     return 2.0 * np.asarray(v, dtype=float)
 
 
-def euclidean_distance(u, v):
-    """|v - u|, the metric of the group's Euclidean gyronorm."""
-    ensure_finite(u)
-    ensure_finite(v)
-    return euclidean_norm(np.asarray(v, dtype=float) - np.asarray(u, dtype=float))
-
-
 def discrete_norm(x):
     """Gyronorm that is 0 at the identity and 1 elsewhere; floating carriers
     need a threshold for "at the identity"."""
     return np.where(euclidean_norm(x) <= 1e-9, 0.0, 1.0)
-
-
-def discrete_distance(u, v):
-    """The discrete metric, the one discrete_norm induces on the group."""
-    ensure_finite(u)
-    ensure_finite(v)
-    return discrete_norm(np.asarray(v, dtype=float) - np.asarray(u, dtype=float))
-

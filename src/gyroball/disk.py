@@ -8,8 +8,8 @@ the arithmetic is auditable.
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .mobius import gyronorm_M, rapidity_norm_unchecked
-from .vectors import dot, ensure_in_ball, promote_float
+from .mobius import rapidity_norm_unchecked
+from .vectors import dot, promote_float
 
 _ONE = np.array([1.0, 0.0])
 
@@ -48,15 +48,6 @@ def cmobius_gyr_factor(a, b):
 def rotation_gyr(a, b, w):
     """Closed-form disk gyration: multiplication by the rotation factor."""
     return cmul(cmobius_gyr_factor(a, b), w)
-
-
-def poincare_metric(w, z):
-    """Poincare distance 2 atanh |(-w) (+) z|, (+) the disk addition (curvature -1)."""
-    w = np.asarray(w, dtype=float)
-    z = np.asarray(z, dtype=float)
-    ensure_in_ball(w)
-    ensure_in_ball(z)
-    return 2.0 * gyronorm_M(cmobius_add(-w, z))
 
 
 def poincare_norm_unchecked(z):

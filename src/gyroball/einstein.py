@@ -10,7 +10,7 @@ import numpy as np
 
 from .mobius import gyronorm_M as gyronorm_E
 from .mobius import mobius_gyr, phi_inv, rapidity_norm_unchecked
-from .vectors import dot, ensure_in_ball, euclidean_norm, promote_float
+from .vectors import dot, promote_float
 
 
 def einstein_add(u, v):
@@ -29,20 +29,3 @@ def einstein_add(u, v):
 def einstein_gyr(u, v, w):
     """Closed-form gyration gyr[u, v]w, through the isomorphism phi."""
     return mobius_gyr(phi_inv(u), phi_inv(v), w)
-
-
-def rapidity_metric_dE(u, v):
-    """Rapidity metric atanh(|neg u + v|), the Cayley-Klein distance."""
-    u = np.asarray(u, dtype=float)
-    ensure_in_ball(u)
-    ensure_in_ball(np.asarray(v, dtype=float))
-    return gyronorm_E(einstein_add(-u, v))
-
-
-def gyrometric_de(u, v):
-    """Euclidean-gyronorm metric |neg u + v|; always <= the rapidity metric."""
-    u = np.asarray(u, dtype=float)
-    ensure_in_ball(u)
-    ensure_in_ball(np.asarray(v, dtype=float))
-    return euclidean_norm(einstein_add(-u, v))
-

@@ -4,9 +4,9 @@ Einstein model.
 The rapidity gyronorm atanh|v| is written here once, guarded and
 engine-facing, for every model that has it: on the Mobius ball it is half the
 Einstein rapidity of phi(v) by the hyperbolic double angle, the Einstein ball
-takes it as is, and the disk's Poincare gyronorm is twice it.  Each metric
-built on it checks both points with ``ensure_in_ball``, then raises
-BoundaryError exactly when the sum neg u (+) v lies within 1e-12 of the rim.
+takes it as is, and the disk's Poincare gyronorm is twice it.  The registry
+builds each metric on it from the engine-facing form, behind the model's
+point check (``registry.GYRONORMS``).
 """
 
 import numpy as np
@@ -104,14 +104,6 @@ def gyronorm_M(v):
     v = np.asarray(v, dtype=float)
     ensure_in_ball(v)
     return atanh_guarded(euclidean_norm(v))
-
-
-def rapidity_metric_dM(u, v):
-    """Rapidity metric of the Mobius model, half the Poincare distance."""
-    u = np.asarray(u, dtype=float)
-    ensure_in_ball(u)
-    ensure_in_ball(np.asarray(v, dtype=float))
-    return gyronorm_M(mobius_add(-u, v))
 
 
 def rapidity_norm_unchecked(v):

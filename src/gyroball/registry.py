@@ -8,7 +8,7 @@ import numpy as np
 from . import core, disk, einstein, mobius
 from .core import GyrogroupModel, GyronormedModel
 from .errors import DimensionMismatchError, DomainError, UnknownNameError
-from .vectors import ensure_in_ball, euclidean_norm, sample_ball_points
+from .vectors import ensure_finite, ensure_in_ball, euclidean_norm, sample_ball_points
 
 # One row per model: its addition, closed-form gyration, whether it is a group
 # (every gyration the identity), point check, reference homomorphism target,
@@ -36,23 +36,47 @@ DEFAULT_GYRONORM = {name: row.gyronorm for name, row in _MODELS.items()}
 COMPLEX_MODELS = ("poincare-disk",)
 
 # One gyronorm of a model.  The suites verify the distance that the engine's
-# unguarded ``norm`` induces, norm(neg x + y); ``metric(u, v)`` is the same
-# distance behind the boundary guards, the one `gyroball dist` prints.  Both
-# ball rapidity gyronorms are the atanh|v| of mobius.py, the disk's is twice
-# it, and their metrics follow the one rim rule stated there.
+# unguarded ``norm`` induces, norm(neg u (+) v); ``metric(u, v)`` is that
+# distance behind the model's point check, the one `gyroball dist` prints.
+# Every metric follows one rim rule: it raises BoundaryError when u, v or the
+# sum neg u (+) v lies within 1e-12 of the rim, and DomainError on a
+# non-finite coordinate (the group, with no rim, checks only that).
 Gyronorm = namedtuple("Gyronorm", "norm metric")
 
-GYRONORMS = {
-    ("einstein", "rapidity"): Gyronorm(einstein.rapidity_norm_unchecked,
-                                       einstein.rapidity_metric_dE),
-    ("einstein", "euclidean"): Gyronorm(euclidean_norm, einstein.gyrometric_de),
-    ("mobius", "rapidity"): Gyronorm(mobius.rapidity_norm_unchecked,
-                                     mobius.rapidity_metric_dM),
-    ("poincare-disk", "poincare"): Gyronorm(disk.poincare_norm_unchecked,
-                                            disk.poincare_metric),
-    ("group", "euclidean"): Gyronorm(euclidean_norm, core.euclidean_distance),
-    ("group", "discrete"): Gyronorm(core.discrete_norm, core.discrete_distance),
+
+def _metric(row, norm):
+    check = row.validate or ensure_finite
+
+    def metric(u, v):
+        """d(u, v) = norm(neg u (+) v) behind the point check; see GYRONORMS."""
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        check(u)
+        check(v)
+        z = row.add(-u, v)
+        if row.validate:
+            row.validate(z)
+        return norm(z)
+
+    return metric
+
+
+# Both ball rapidity norms are the atanh|v| of mobius.py, the disk's is twice it.
+_NORMS = {
+    ("einstein", "rapidity"): einstein.rapidity_norm_unchecked,
+    ("einstein", "euclidean"): euclidean_norm,
+    ("mobius", "rapidity"): mobius.rapidity_norm_unchecked,
+    ("poincare-disk", "poincare"): disk.poincare_norm_unchecked,
+    ("group", "euclidean"): euclidean_norm,
+    ("group", "discrete"): core.discrete_norm,
 }
+GYRONORMS = {key: Gyronorm(norm, _metric(_MODELS[key[0]], norm)) for key, norm in _NORMS.items()}
+
+# The public metrics, documented in README's Python API section.
+rapidity_metric_dE = GYRONORMS["einstein", "rapidity"].metric
+gyrometric_de = GYRONORMS["einstein", "euclidean"].metric
+rapidity_metric_dM = GYRONORMS["mobius", "rapidity"].metric
+poincare_metric = GYRONORMS["poincare-disk", "poincare"].metric
 
 # The suite `topology` compares the balls of these two gyronorms, and runs
 # on every model that registers both.

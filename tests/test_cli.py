@@ -134,6 +134,15 @@ def test_dist_mobius_near_the_rim(capsys):
     assert code == 3 and out == "" and "boundary guard" in err
 
 
+def test_dist_einstein_euclidean_guards_the_sum(capsys):
+    # Both points lie 1e-7 inside the rim; their sum neg u (+) v does not.
+    code, out, err = run_cli(capsys, "dist", "--model", "einstein", "--gyronorm", "euclidean",
+                             "--u=-0.9999999,0", "--v", "0.9999999,0")
+    assert (code, out) == (3, "")
+    assert err == ("error: point norm 0.9999999999999949 reaches the boundary guard"
+                   " 1 - 1e-12\n")
+
+
 def test_dist_unknown_gyronorm_exits_2(capsys):
     code, _, err = run_cli(capsys, "dist", "--model", "mobius",
                            "--gyronorm", "poincare", "--u", "0,0,0", "--v", "0.1,0,0")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from gyroball import (
     poincare_metric,
     euclidean_norm,
 )
+from gyroball.core import INVARIANCE_SAMPLES
 
 
 @pytest.fixture
@@ -176,6 +179,20 @@ def test_gyronorm_from_metric_on_abelian_group():
     norm = gyronorm_from_metric(m, lambda x, y: euclidean_norm(np.asarray(y) - np.asarray(x)))
     x = m.sample(make_rng(6), 200)
     assert np.allclose(norm(x), euclidean_norm(x))
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_gyronorm_from_metric_rejects_a_non_finite_metric(bad):
+    # NaN > tolerance is False, so a NaN distance must count as a violation
+    # on its own, and inf - inf must not warn on the way.
+    m = get_model("einstein", dim=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LeftInvarianceError) as exc:
+            gyronorm_from_metric(m, lambda x, y: np.full(np.shape(x)[:-1], bad))
+    w = exc.value.witness
+    assert np.array_equal([w["d_translated"], w["d_original"]], [bad, bad], equal_nan=True)
+    assert w["a"] == m.sample(make_rng(0), INVARIANCE_SAMPLES)[0].tolist()  # row 0
 
 
 def test_gyronorm_from_metric_rejects_non_invariant_metric():

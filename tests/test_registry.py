@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import gyroball
-from gyroball import CheckConfig, DomainError, cli, get_model, get_normed, make_rng, run_suite
+from gyroball import (BoundaryError, CheckConfig, DomainError, cli, get_model, get_normed,
+                      make_rng, run_suite)
 from gyroball.registry import (
     COMPLEX_MODELS,
     CONVERSIONS,
@@ -50,6 +51,26 @@ def test_public_metric_rejects_non_finite_points(key, bad):
     for u, v in ((point, origin), (origin, point)):
         with pytest.raises(DomainError, match="non-finite"):
             GYRONORMS[key].metric(u, v)
+
+
+@pytest.mark.parametrize("key", [k for k in GYRONORMS if get_model(k[0], 2).validate],
+                         ids="-".join)
+def test_public_metric_guards_the_sum_at_the_rim(key):
+    # Both points lie 1e-7 inside the rim, but neg u (+) v rounds to within
+    # 1e-12 of it: one rim rule for every model with a point check.
+    u, v = np.array([-0.9999999, 0.0]), np.array([0.9999999, 0.0])
+    with pytest.raises(BoundaryError, match="boundary guard"):
+        GYRONORMS[key].metric(u, v)
+
+
+@pytest.mark.parametrize("name, key", [
+    ("rapidity_metric_dE", ("einstein", "rapidity")),
+    ("gyrometric_de", ("einstein", "euclidean")),
+    ("rapidity_metric_dM", ("mobius", "rapidity")),
+    ("poincare_metric", ("poincare-disk", "poincare")),
+])
+def test_public_metric_names_are_the_registry_metrics(name, key):
+    assert getattr(gyroball, name) is GYRONORMS[key].metric
 
 
 def test_every_model_has_a_default_dim_and_a_registered_default_gyronorm():
