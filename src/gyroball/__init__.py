@@ -19,7 +19,7 @@ from .core import (
     mazur_ulam_decompose,
 )
 from .disk import cmobius_add, cmobius_gyr_factor
-from .einstein import einstein_add, gyronorm_E
+from .einstein import einstein_add
 from .engine import CheckConfig, CheckReport, run_suite, SUITE_NAMES
 from .errors import (
     BoundaryError,
@@ -31,18 +31,20 @@ from .errors import (
     SamplingHealthError,
     UnknownNameError,
 )
-from .mobius import gyronorm_M, mobius_add, phi, phi_inv
+from .mobius import mobius_add, phi, phi_inv
 from .registry import (
     MODEL_NAMES,
     get_model,
     get_normed,
     gyrometric_de,
+    gyronorm_E,
+    gyronorm_M,
     poincare_metric,
     rapidity_metric_dE,
     rapidity_metric_dM,
 )
 from .rng import make_rng
-from .vectors import atanh_guarded, euclidean_norm, sample_ball_points
+from .vectors import euclidean_norm, sample_ball_points
 
 # The package's public surface; see README, "Python API".
 __all__ = [
@@ -50,15 +52,15 @@ __all__ = [
     "apply_isometry", "gyr_via_gyrator_identity", "gyronorm_from_metric",
     "homogeneity_witness", "isotropy_witness", "mazur_ulam_decompose",
     "cmobius_add", "cmobius_gyr_factor",
-    "einstein_add", "gyronorm_E",
+    "einstein_add",
     "CheckConfig", "CheckReport", "run_suite", "SUITE_NAMES",
     "BoundaryError", "DegeneracyError", "DimensionMismatchError", "DomainError",
     "GyroError", "LeftInvarianceError", "SamplingHealthError", "UnknownNameError",
-    "gyronorm_M", "mobius_add", "phi", "phi_inv",
-    "MODEL_NAMES", "get_model", "get_normed", "gyrometric_de", "poincare_metric",
-    "rapidity_metric_dE", "rapidity_metric_dM",
+    "mobius_add", "phi", "phi_inv",
+    "MODEL_NAMES", "get_model", "get_normed", "gyrometric_de", "gyronorm_E", "gyronorm_M",
+    "poincare_metric", "rapidity_metric_dE", "rapidity_metric_dM",
     "make_rng",
-    "atanh_guarded", "euclidean_norm", "sample_ball_points",
+    "euclidean_norm", "sample_ball_points",
 ]
 
 __version__ = "0.1.0"

@@ -28,10 +28,10 @@ from .registry import (
     CONVERSIONS,
     GYRONORMS,
     MODEL_NAMES,
+    check_points,
     get_model,
     resolve_gyronorm,
 )
-from .vectors import ensure_in_ball
 
 _COMPLEX_FORM = re.compile(
     r"^\s*(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?\s*"
@@ -65,23 +65,16 @@ def format_point(v):
 
 def _model_points(args, *texts):
     """Parse the points of add, gyr or dist, check that they share one dim,
-    the one --dim names if given, and validate them in the model of that dim."""
+    the one --dim names if given, and that they are points of the model of
+    that dim."""
     points = [parse_point(t, args.model) for t in texts]
-    dims = {p.shape[-1] for p in points}
-    if len(dims) != 1:
-        raise DimensionMismatchError(
-            f"points have mismatched dimensions: {sorted(dims)}"
-        )
-    dim = dims.pop()
-    if args.dim is not None and args.dim != dim:
+    dim = points[0].shape[-1]
+    if args.dim not in (None, dim) and all(p.shape[-1] == dim for p in points):
         raise DimensionMismatchError(
             f"--dim {args.dim} disagrees with point dimension {dim}"
         )
-    model = get_model(args.model, dim=dim)
-    if model.validate:
-        for p in points:
-            model.validate(p)
-    return model, points
+    points = check_points(args.model, *points)
+    return get_model(args.model, dim=dim), points
 
 
 def _prints_result(command):
@@ -140,11 +133,11 @@ def _cmd_convert(args):
             + ", ".join(f"{a}->{b}" for a, b in _ROUTES)
         ) from None
     p = parse_point(args.point, args.src)
-    # Mapped before the boundary checks: a disk route rejects a point of
-    # the wrong dim first.
+    # Mapped before the point checks: a disk route rejects a point of the
+    # wrong dim first.
     result = route(p)
-    ensure_in_ball(p)
-    ensure_in_ball(result)
+    check_points(args.src, p)
+    check_points(args.dst, result)
     return result
 
 

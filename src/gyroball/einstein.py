@@ -2,13 +2,13 @@
 
 Gyrations, per-pair rotation matrices below dim 8, are borrowed from the
 Mobius model: phi is radial and gyrations are orthogonal, so
-gyr_E[u, v] = gyr_M[phi_inv u, phi_inv v].  So is the rapidity gyronorm
-atanh|v|, guarded (gyronorm_E) and engine-facing (rapidity_norm_unchecked).
+gyr_E[u, v] = gyr_M[phi_inv u, phi_inv v].  So is the engine-facing rapidity
+gyronorm atanh|v| (rapidity_norm_unchecked); the registry builds the guarded
+gyronorm_E on it.
 """
 
 import numpy as np
 
-from .mobius import gyronorm_M as gyronorm_E
 from .mobius import mobius_gyr, phi_inv, rapidity_norm_unchecked
 from .vectors import dot, promote_float
 

@@ -1,24 +1,17 @@
 """Mobius gyrogroup on the open unit ball and its isomorphism with the
 Einstein model.
 
-The rapidity gyronorm atanh|v| is written here once, guarded and
-engine-facing, for every model that has it: on the Mobius ball it is half the
-Einstein rapidity of phi(v) by the hyperbolic double angle, the Einstein ball
-takes it as is, and the disk's Poincare gyronorm is twice it.  The registry
-builds each metric on it from the engine-facing form, behind the model's
-point check (``registry.GYRONORMS``).
+The rapidity gyronorm atanh|v| is written here once, engine-facing, for every
+model that has it: on the Mobius ball it is half the Einstein rapidity of
+phi(v) by the hyperbolic double angle, the Einstein ball takes it as is, and
+the disk's Poincare gyronorm is twice it.  The registry builds the public
+gyronorms and metrics on it, behind the model's point check
+(``registry.check_points``).
 """
 
 import numpy as np
 
-from .vectors import (
-    SHORT_AXIS,
-    atanh_guarded,
-    dot,
-    ensure_in_ball,
-    euclidean_norm,
-    promote_float,
-)
+from .vectors import SHORT_AXIS, dot, euclidean_norm, promote_float
 
 
 def mobius_add(u, v):
@@ -97,13 +90,6 @@ def mobius_gyr(u, v, w):
     for i in range(n):
         out[..., i] = dot(g[..., i, :], w)
     return out
-
-
-def gyronorm_M(v):
-    """Rapidity gyronorm atanh|v|; raises BoundaryError within 1e-12 of the rim."""
-    v = np.asarray(v, dtype=float)
-    ensure_in_ball(v)
-    return atanh_guarded(euclidean_norm(v))
 
 
 def rapidity_norm_unchecked(v):

@@ -37,28 +37,34 @@ COMPLEX_MODELS = ("poincare-disk",)
 
 # One gyronorm of a model.  The suites verify the distance that the engine's
 # unguarded ``norm`` induces, norm(neg u (+) v); ``metric(u, v)`` is that
-# distance behind the model's point check, the one `gyroball dist` prints.
-# Every metric follows one rim rule: it raises BoundaryError when u, v or the
-# sum neg u (+) v lies within 1e-12 of the rim, and DomainError on a
-# non-finite coordinate (the group, with no rim, checks only that).
+# distance behind ``check_points``, the one `gyroball dist` prints.  Every
+# metric follows one rim rule: it raises BoundaryError when u, v or the sum
+# neg u (+) v lies within 1e-12 of the rim, and DomainError on a non-finite
+# coordinate (the group, with no rim, checks only that).
 Gyronorm = namedtuple("Gyronorm", "norm metric")
 
 
-def _metric(row, norm):
-    check = row.validate or ensure_finite
+def _metric(name, norm):
+    row = _MODELS[name]
 
     def metric(u, v):
         """d(u, v) = norm(neg u (+) v) behind the point check; see GYRONORMS."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        check(u)
-        check(v)
+        u, v = check_points(name, u, v)
         z = row.add(-u, v)
         if row.validate:
             row.validate(z)
         return norm(z)
 
     return metric
+
+
+def _gyronorm(name, norm):
+    def gyronorm(v):
+        """norm(v) behind the point check of check_points."""
+        (v,) = check_points(name, v)
+        return norm(v)
+
+    return gyronorm
 
 
 # Both ball rapidity norms are the atanh|v| of mobius.py, the disk's is twice it.
@@ -70,9 +76,11 @@ _NORMS = {
     ("group", "euclidean"): euclidean_norm,
     ("group", "discrete"): core.discrete_norm,
 }
-GYRONORMS = {key: Gyronorm(norm, _metric(_MODELS[key[0]], norm)) for key, norm in _NORMS.items()}
+GYRONORMS = {key: Gyronorm(norm, _metric(key[0], norm)) for key, norm in _NORMS.items()}
 
-# The public metrics, documented in README's Python API section.
+# The public gyronorms and metrics, documented in README's Python API section.
+gyronorm_E = _gyronorm("einstein", _NORMS["einstein", "rapidity"])
+gyronorm_M = _gyronorm("mobius", _NORMS["mobius", "rapidity"])
 rapidity_metric_dE = GYRONORMS["einstein", "rapidity"].metric
 gyrometric_de = GYRONORMS["einstein", "euclidean"].metric
 rapidity_metric_dM = GYRONORMS["mobius", "rapidity"].metric
@@ -121,9 +129,9 @@ def _unknown_model(name):
     )
 
 
-def get_model(name, dim=None) -> GyrogroupModel:
-    """Build a registered gyrogroup model, at its default dim when ``dim`` is
-    None, wiring its reference homomorphism."""
+def _model_dim(name, dim):
+    """The model's dim, its default when ``dim`` is None, under the one dim
+    rule: dim >= 1, and dim 2 on the complex plane."""
     if dim is not None and dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")
     if name not in MODEL_NAMES:
@@ -131,7 +139,35 @@ def get_model(name, dim=None) -> GyrogroupModel:
     dim = DEFAULT_DIM[name] if dim is None else dim
     if name in COMPLEX_MODELS and dim != 2:
         raise DimensionMismatchError(f"model '{name}' requires dim = 2")
-    return _build(name, dim)
+    return dim
+
+
+def check_points(name, *points):
+    """The points as float arrays, once they are points of the model: one
+    shared trailing dim under the model's dim rule, leading shapes that
+    broadcast, and each point passing the model's point check
+    (``ensure_finite`` for a model without one).  A 0-d point has dim 0."""
+    points = [np.asarray(p, dtype=float) for p in points]
+    dims = {p.shape[-1] if p.ndim else 0 for p in points}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"points have mismatched dimensions: {sorted(dims)}")
+    try:
+        np.broadcast_shapes(*(p.shape for p in points))
+    except ValueError:
+        raise DimensionMismatchError(
+            f"point batches do not broadcast: {', '.join(str(p.shape) for p in points)}"
+        ) from None
+    _model_dim(name, dims.pop())
+    check = _MODELS[name].validate or ensure_finite
+    for p in points:
+        check(p)
+    return points
+
+
+def get_model(name, dim=None) -> GyrogroupModel:
+    """Build a registered gyrogroup model, at its default dim when ``dim`` is
+    None, wiring its reference homomorphism."""
+    return _build(name, _model_dim(name, dim))
 
 
 def gyronorm_names(model_name):

@@ -66,33 +66,15 @@ def ensure_finite(v) -> None:
 
 def ensure_in_ball(v) -> None:
     """Raise DomainError if any coordinate is not finite, and BoundaryError
-    if any point has norm >= 1 - BOUNDARY_GUARD."""
+    if any point has norm >= 1 - BOUNDARY_GUARD; a norm that overflows is inf."""
     ensure_finite(v)
-    nrm = euclidean_norm(v)
+    with np.errstate(over="ignore"):
+        nrm = euclidean_norm(v)
     if np.any(nrm >= 1.0 - BOUNDARY_GUARD):
         worst = float(np.max(nrm))
         raise BoundaryError(
             f"point norm {worst!r} reaches the boundary guard 1 - {BOUNDARY_GUARD}"
         )
-
-
-def atanh_guarded(x):
-    """Inverse hyperbolic tangent on [0, 1), guarded at both ends.
-
-    All gyronorm call sites feed a norm here, hence the nonnegativity
-    requirement.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(np.isnan(x)):
-        raise DomainError("atanh_guarded got a NaN argument")
-    if np.any(x < 0.0):
-        raise DomainError(f"atanh_guarded expects a nonnegative argument, got {float(np.min(x))!r}")
-    if np.any(x >= 1.0 - BOUNDARY_GUARD):
-        raise BoundaryError(
-            f"atanh argument {float(np.max(x))!r} reaches the boundary guard 1 - {BOUNDARY_GUARD}"
-        )
-    out = np.arctanh(x)
-    return float(out) if out.ndim == 0 else out
 
 
 def sample_ball_points(n, count, rng, cap=SAMPLE_RADIUS_CAP):

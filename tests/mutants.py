@@ -1,5 +1,5 @@
-"""Mutation check of the property engine: does the test suite notice when a
-check is weakened?
+"""Mutation check of the property engine and the input guard: does the test
+suite notice when a check is weakened?
 
     python tests/mutants.py
 
@@ -61,6 +61,13 @@ MUTANTS = [
      KILLED),
     ("isotropy-scans-probe-0-only",
      "if rest.any():", "if False:", KILLED),
+    # The input guard of the public metrics, gyronorms and CLI points.
+    ("guard-checks-first-point-only",
+     "for p in points:", "for p in points[:1]:", KILLED),
+    ("guard-ignores-trailing-dims",
+     "if len(dims) != 1:", "if False:", KILLED),
+    ("metric-sum-unchecked",
+     "row.validate(z)", "pass", KILLED),
 ]
 
 

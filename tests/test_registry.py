@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import gyroball
-from gyroball import (BoundaryError, CheckConfig, DomainError, cli, get_model, get_normed,
-                      make_rng, run_suite)
+from gyroball import (BoundaryError, CheckConfig, DimensionMismatchError, DomainError, cli,
+                      get_model, get_normed, gyronorm_E, gyronorm_M, make_rng, run_suite)
 from gyroball.registry import (
     COMPLEX_MODELS,
     CONVERSIONS,
@@ -51,6 +51,44 @@ def test_public_metric_rejects_non_finite_points(key, bad):
     for u, v in ((point, origin), (origin, point)):
         with pytest.raises(DomainError, match="non-finite"):
             GYRONORMS[key].metric(u, v)
+
+
+# (u, v, error): pairs that are not two points of one model, for every model;
+# the disk also rejects two points of dim 3.
+WRONG_SHAPES = [
+    ([0.5], [0.1, 0.2, 0.3], DimensionMismatchError),
+    ([0.1, 0.2, 0.3], [0.5], DimensionMismatchError),
+    ([], [], DomainError),
+    (0.5, 0.5, DomainError),
+    (np.zeros((2, 2)), np.zeros((3, 2)), DimensionMismatchError),
+]
+DISK_AT_DIM_3 = ([0.1, 0.2, 0.3], [0.3, 0.2, 0.1], DimensionMismatchError)
+
+
+@pytest.mark.parametrize("key, u, v, error", [
+    (key, *case) for key in GYRONORMS
+    for case in WRONG_SHAPES + [DISK_AT_DIM_3] * (key[0] in COMPLEX_MODELS)
+])
+def test_public_metric_rejects_points_of_the_wrong_shape(key, u, v, error):
+    # Neither broadcast nor indexed: each pair is rejected before the sum.
+    with pytest.raises(error):
+        GYRONORMS[key].metric(u, v)
+
+
+@pytest.mark.parametrize("gyronorm, key", [(gyronorm_E, ("einstein", "rapidity")),
+                                           (gyronorm_M, ("mobius", "rapidity"))],
+                         ids=["einstein", "mobius"])
+def test_public_gyronorm_is_the_checked_engine_norm(gyronorm, key):
+    v = sample_ball_points(3, 500, make_rng(3), cap=0.95)
+    assert gyronorm(v).tobytes() == GYRONORMS[key].norm(v).tobytes()
+    assert gyronorm(v[0]) == GYRONORMS[key].norm(v[0])
+    # A norm that overflows is past the rim too, with no numpy warning.
+    for point in ([1 - 1e-13, 0.0], [1e308, 0.0]):
+        with pytest.raises(BoundaryError, match="boundary guard"):
+            gyronorm(point)
+    for point in (0.5, [], np.zeros((2, 0))):
+        with pytest.raises(DomainError, match="dim must be >= 1"):
+            gyronorm(point)
 
 
 @pytest.mark.parametrize("key", [k for k in GYRONORMS if get_model(k[0], 2).validate],
@@ -120,6 +158,20 @@ def test_only_the_registry_names_a_model_or_gyronorm():
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and node.value in names:
                 found.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert not found, found
+
+
+def test_only_the_registry_applies_the_point_checks():
+    # One input guard: every other module checks points through check_points.
+    found = []
+    for path, tree in _modules():
+        if path.name in ("registry.py", "vectors.py"):
+            continue
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "name", None)
+            if isinstance(node, (ast.Name, ast.alias)) and name in ("ensure_in_ball",
+                                                                    "ensure_finite"):
+                found.append(f"{path.name}: {name}")
     assert not found, found
 
 

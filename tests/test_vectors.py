@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from gyroball import (
     BoundaryError,
     DomainError,
-    atanh_guarded,
     euclidean_norm,
     make_rng,
     sample_ball_points,
@@ -39,21 +36,6 @@ def test_euclidean_norm_examples():
     assert euclidean_norm([0.5, 0, 0]) == 0.5
 
 
-def test_atanh_guarded_examples():
-    assert atanh_guarded(0.0) == 0.0
-    assert atanh_guarded(0.5) == pytest.approx(0.5 * math.log(3))
-    assert atanh_guarded(0.8) == pytest.approx(math.log(3))
-
-
-def test_atanh_guarded_domain_errors():
-    with pytest.raises(BoundaryError, match="0.999999"):
-        atanh_guarded(1 - 1e-13)
-    with pytest.raises(DomainError):
-        atanh_guarded(-0.1)
-    with pytest.raises(DomainError, match="NaN"):
-        atanh_guarded(np.array([0.5, np.nan]))
-
-
 def test_ensure_in_ball_rejects_boundary():
     ensure_in_ball(np.array([0.999, 0.0]))
     with pytest.raises(BoundaryError):
@@ -72,11 +54,6 @@ def test_cauchy_schwarz_on_samples():
     lhs = dot(u, v) ** 2
     rhs = dot(u, u) * dot(v, v)
     assert np.all(lhs <= rhs + 1e-9)
-
-
-def test_tanh_atanh_roundtrip():
-    x = np.linspace(0.0, 0.999, 500)
-    assert np.allclose(np.tanh(atanh_guarded(x)), x, atol=1e-9, rtol=1e-9)
 
 
 def test_sampling_determinism_and_cap():
