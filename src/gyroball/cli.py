@@ -63,18 +63,23 @@ def format_point(v):
     return ",".join(f"{x:.17g}" for x in np.atleast_1d(v))
 
 
-def _model_points(args, *texts):
-    """Parse the points of add, gyr or dist, check that they share one dim,
-    the one --dim names if given, and that they are points of the model of
-    that dim."""
+def _parse_points(args, *texts):
+    """Parse the points of add, gyr or dist; points that share one dim must
+    share it with --dim, if given."""
     points = [parse_point(t, args.model) for t in texts]
     dim = points[0].shape[-1]
     if args.dim not in (None, dim) and all(p.shape[-1] == dim for p in points):
         raise DimensionMismatchError(
             f"--dim {args.dim} disagrees with point dimension {dim}"
         )
-    points = check_points(args.model, *points)
-    return get_model(args.model, dim=dim), points
+    return points
+
+
+def _model_points(args, *texts):
+    """The parsed points, once they are points of the model, and the model
+    of their dim."""
+    points = check_points(args.model, *_parse_points(args, *texts))
+    return get_model(args.model, dim=points[0].shape[-1]), points
 
 
 def _prints_result(command):
@@ -119,8 +124,15 @@ _ROUTES = CONVERSIONS
 
 @_prints_result
 def _cmd_dist(args):
-    _, (u, v) = _model_points(args, args.u, args.v)
-    return _METRICS[args.model, resolve_gyronorm(args.model, args.gyronorm)](u, v)
+    # The metric checks the points; a bad point is reported before an
+    # unknown gyronorm.
+    u, v = _parse_points(args, args.u, args.v)
+    try:
+        name = resolve_gyronorm(args.model, args.gyronorm)
+    except UnknownNameError:
+        check_points(args.model, u, v)
+        raise
+    return _METRICS[args.model, name](u, v)
 
 
 @_prints_result

@@ -1,53 +1,73 @@
 """Complex Mobius gyrogroup on the unit disk.
 
-Disk points are real pairs (re, im); the complex product and conjugation are
-explicit kernels so the carrier stays a float array like the ball models and
-the arithmetic is auditable.
+Disk points are real pairs (re, im), so the carrier stays a float array like
+the ball models.  The complex arithmetic is written out on the two coordinate
+planes, each filled in place, so the kernels build no stacked pairs: the sum
+1 + conj(a) b adds 0.0 to its imaginary part, which turns -0.0 into +0.0 as
+the complex sum does, and a quotient n / d is n conj(d) / |d|^2.
 """
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 from .mobius import rapidity_norm_unchecked
-from .vectors import dot, promote_float
-
-_ONE = np.array([1.0, 0.0])
+from .vectors import promote_float
 
 
-def cmul(a, b):
-    """Complex product of real pairs."""
-    a = promote_float(a)
-    b = promote_float(b)
-    re = a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
-    im = a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0]
-    return np.stack([re, im], axis=-1)
+def _one_plus_conj_times(a, b):
+    """The planes (re, im) of 1 + conj(a) b."""
+    re = a[..., 0] * b[..., 0]
+    re += a[..., 1] * b[..., 1]
+    re += 1.0
+    im = a[..., 0] * b[..., 1]
+    im -= a[..., 1] * b[..., 0]
+    im += 0.0
+    return re, im
 
 
-def conj(a):
-    a = promote_float(a)
-    return np.stack([a[..., 0], -a[..., 1]], axis=-1)
-
-
-def cdiv(a, b):
-    b = promote_float(b)
-    return cmul(a, conj(b)) / dot(b, b)[..., None]
+def _quotient(n, d):
+    """(n0 + i n1) / (d0 + i d1) for plane pairs n, d of one shape and
+    dtype, as a new (..., 2) array."""
+    (n0, n1), (d0, d1) = n, d
+    den = d0 * d0
+    den += d1 * d1
+    out = np.empty(np.shape(d0) + (2,), d0.dtype)
+    re, im = out[..., 0], out[..., 1]
+    np.multiply(n0, d0, out=re)
+    re += n1 * d1
+    re /= den
+    np.multiply(n1, d0, out=im)
+    im -= n0 * d1
+    im /= den
+    return out
 
 
 def cmobius_add(a, b):
     """Disk addition (a + b) / (1 + conj(a) b)."""
     a = promote_float(a)
     b = promote_float(b)
-    return cdiv(a + b, _ONE + cmul(conj(a), b))
+    s = (a[..., 0] + b[..., 0], a[..., 1] + b[..., 1])
+    return _quotient(s, _one_plus_conj_times(a, b))
 
 
 def cmobius_gyr_factor(a, b):
     """Unimodular rotation factor (1 + a conj(b)) / (1 + conj(a) b)."""
-    return cdiv(_ONE + cmul(a, conj(b)), _ONE + cmul(conj(a), b))
+    a = promote_float(a)
+    b = promote_float(b)
+    return _quotient(_one_plus_conj_times(b, a), _one_plus_conj_times(a, b))
 
 
 def rotation_gyr(a, b, w):
     """Closed-form disk gyration: multiplication by the rotation factor."""
-    return cmul(cmobius_gyr_factor(a, b), w)
+    f = cmobius_gyr_factor(a, b)
+    w = promote_float(w)
+    out = np.empty(np.broadcast_shapes(f.shape, w.shape), np.result_type(f.dtype, w.dtype))
+    re, im = out[..., 0], out[..., 1]
+    np.multiply(f[..., 0], w[..., 0], out=re)
+    re -= f[..., 1] * w[..., 1]
+    np.multiply(f[..., 0], w[..., 1], out=im)
+    im += f[..., 1] * w[..., 0]
+    return out
 
 
 def poincare_norm_unchecked(z):

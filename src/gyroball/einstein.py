@@ -10,19 +10,25 @@ gyronorm_E on it.
 import numpy as np
 
 from .mobius import mobius_gyr, phi_inv, rapidity_norm_unchecked
-from .vectors import dot, promote_float
+from .vectors import coordinate_planes, dot, promote_float
 
 
 def einstein_add(u, v):
-    """Relativistic velocity addition of ball points (trailing axis)."""
+    """Relativistic velocity addition of ball points (trailing axis):
+    (u + v / gamma + (gamma / (1 + gamma)) (u.v) u) / (1 + u.v), gamma the
+    Lorentz factor of u, evaluated in that order."""
     u = promote_float(u)
     v = promote_float(v)
-    ip = dot(u, v)[..., None]
-    gamma = 1.0 / np.sqrt(1.0 - dot(u, u)[..., None])
-    out = v / gamma
-    out += u
-    out += (gamma / (1.0 + gamma)) * ip * u
-    out /= 1.0 + ip
+    ip = dot(u, v)
+    gamma = 1.0 / np.sqrt(1.0 - dot(u, u))
+    coef = gamma / (1.0 + gamma) * ip
+    den = 1.0 + ip
+    out, slabs = coordinate_planes(u, v, gamma, coef, den)
+    for o, uj, vj, g, c, d in slabs:
+        np.divide(vj, g, out=o)
+        o += uj
+        o += c * uj
+        o /= d
     return out
 
 

@@ -49,9 +49,17 @@ ISOMETRY_STEPS = 4
 POSITIVITY_FLOOR = 1e-7
 
 # Probe checks run on blocks of pairs whose (block, P, n) arrays hold at most
-# this many elements, 2 MiB of float64; smaller blocks leave glibc's mmap
-# threshold low and cost the light suites page faults.
+# BLOCK_ELEMENTS elements, 2 MiB of float64, and at most BLOCK_ROWS rows of
+# block * P.  The row cap binds below dim 16, 512 pairs of 32 probes: the
+# kernels' (block, P) coefficient planes then take 128 KiB, and glibc serves
+# them from memory it already holds instead of fresh mmaps whose pages fault
+# on first touch.  The einstein and mobius axioms, table1 and
+# homogeneity-isotropy suites faulted 24k pages instead of 45k at dim 3, and
+# 164k and 248k instead of 199k and 317k at dims 8 and 12, where the
+# additions work on the whole axis.  From dim 16 on the element cap binds,
+# as before.
 BLOCK_ELEMENTS = 1 << 18
+BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -184,14 +192,15 @@ class _SuiteRun:
         function-equality checks.  Yields ``(aP, bP, xP)`` with views
         ``aP = a[i:j, None]``, ``bP = b[i:j, None]`` of shape (j - i, 1, n)
         and ``xP = probes[None]`` of shape (1, P, n).  Kernels broadcast them
-        to (j - i, P, n) results, at most BLOCK_ELEMENTS elements unless one
-        pair exceeds it, while terms that depend on (a, b) alone are computed
-        once per pair.  Blocks are taken in order and recorded under one
-        name, so result row k of a block gets ``sample_index`` i * P + k,
-        which is i * P + j for (a[i], b[i], probes[j])."""
+        to (j - i, P, n) results, at most BLOCK_ELEMENTS elements and
+        BLOCK_ROWS rows unless one pair exceeds them, while terms that
+        depend on (a, b) alone are computed once per pair.  Blocks are taken
+        in order and recorded under one name, so result row k of a block
+        gets ``sample_index`` i * P + k, which is i * P + j for (a[i], b[i],
+        probes[j])."""
         probes = self.draw(self.cfg.probes)
         p, n = probes.shape
-        step = max(1, BLOCK_ELEMENTS // (p * n))
+        step = max(1, min(BLOCK_ROWS, BLOCK_ELEMENTS // n) // p)
         for i in range(0, len(a), step):
             yield a[i:i + step, None], b[i:i + step, None], probes[None]
 

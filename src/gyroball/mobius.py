@@ -11,20 +11,28 @@ gyronorms and metrics on it, behind the model's point check
 
 import numpy as np
 
-from .vectors import SHORT_AXIS, dot, euclidean_norm, promote_float
+from .vectors import SHORT_AXIS, coordinate_planes, dot, euclidean_norm, promote_float
 
 
 def mobius_add(u, v):
-    """Mobius addition of ball points (trailing axis)."""
+    """Mobius addition of ball points (trailing axis):
+    ((1 + 2 u.v + |v|^2) u + (1 - |u|^2) v) / (1 + 2 u.v + |u|^2 |v|^2),
+    evaluated in that order."""
     u = promote_float(u)
     v = promote_float(v)
-    ip = dot(u, v)[..., None]
-    usq = dot(u, u)[..., None]
-    vsq = dot(v, v)[..., None]
-    num = (1.0 + 2.0 * ip + vsq) * u
-    num += (1.0 - usq) * v
-    num /= 1.0 + 2.0 * ip + usq * vsq
-    return num
+    ip = dot(u, v)
+    usq = dot(u, u)
+    vsq = dot(v, v)
+    one_2ip = 1.0 + 2.0 * ip
+    cu = one_2ip + vsq
+    cv = 1.0 - usq
+    den = one_2ip + usq * vsq
+    out, slabs = coordinate_planes(u, v, cu, cv, den)
+    for o, uj, vj, a, b, d in slabs:
+        np.multiply(a, uj, out=o)
+        o += b * vj
+        o /= d
+    return out
 
 
 def phi(v):

@@ -1,5 +1,6 @@
-"""Mutation check of the property engine and the input guard: does the test
-suite notice when a check is weakened?
+"""Mutation check of the property engine, the input guard and the kernels:
+does the test suite notice when a check is weakened or a kernel's bits
+move?
 
     python tests/mutants.py
 
@@ -68,6 +69,14 @@ MUTANTS = [
      "if len(dims) != 1:", "if False:", KILLED),
     ("metric-sum-unchecked",
      "row.validate(z)", "pass", KILLED),
+    # The coordinate-plane kernels must keep the bits of their reference
+    # expressions in the tests, signed zeros included.
+    ("disk-keeps-negative-zero-im",
+     "im += 0.0", "pass", KILLED),
+    ("plane-loop-skips-last-coordinate",
+     "for j in range(out.shape[-1])]", "for j in range(out.shape[-1] - 1)]", KILLED),
+    ("disk-quotient-by-reciprocal",
+     "re /= den", "re *= 1.0 / den", KILLED),
 ]
 
 

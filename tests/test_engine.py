@@ -21,7 +21,7 @@ from gyroball import (
 )
 from gyroball import cli, registry
 from gyroball.core import gyr_via_gyrator_identity
-from gyroball.engine import _SuiteRun
+from gyroball.engine import BLOCK_ROWS, _SuiteRun
 from gyroball.rng import make_rng
 
 FAST = CheckConfig(samples=500)
@@ -542,6 +542,27 @@ def test_blocked_probe_checks_match_one_block(monkeypatch, suite, model, dim, pa
         rows = [i for name, idx in _witness_rows(whole)
                 if name in PROBE_PROPERTIES[suite] for i in idx]
         assert any(i >= pairs * cfg.probes for i in rows), rows
+
+
+@pytest.mark.parametrize("model,dim", (("poincare-disk", 2), ("mobius", 2), ("einstein", 3),
+                                       ("mobius", 7), ("mobius", 16), ("einstein", 64)))
+def test_probe_blocks_take_the_row_cap_below_dim_16(model, dim):
+    # Below dim 16 a block holds as many pairs as fit in BLOCK_ROWS rows of
+    # pair x probe, so a kernel's (block, P) float64 planes take at most
+    # 128 KiB; from dim 16 on blocks keep their element-capped size,
+    # 2^18 // (P * n) pairs.
+    cfg = CheckConfig(samples=3000)
+    p = cfg.probes
+    a = np.zeros((cfg.samples, dim))
+    run = _SuiteRun(get_normed(model, dim=dim), cfg)
+    pairs = [aP.shape[0] for aP, _, _ in run.probe_blocks(a, a)]
+    assert sum(pairs) == cfg.samples
+    assert len(set(pairs[:-1])) == 1 and pairs[-1] <= pairs[0]
+    if dim < 16:
+        assert pairs[0] * p <= BLOCK_ROWS < (pairs[0] + 1) * p
+        assert BLOCK_ROWS * np.dtype(np.float64).itemsize <= 128 * 2**10
+    else:
+        assert pairs[0] == 2**18 // (p * dim)
 
 
 def test_probe_check_memory_stays_bounded():

@@ -6,6 +6,8 @@ import pytest
 import mp_oracle
 from gyroball import (
     CheckConfig,
+    cmobius_add,
+    cmobius_gyr_factor,
     einstein_add,
     euclidean_norm,
     get_model,
@@ -20,6 +22,7 @@ from gyroball import (
     run_suite,
     sample_ball_points,
 )
+from gyroball.disk import rotation_gyr
 from gyroball.vectors import dot
 
 
@@ -247,19 +250,93 @@ def _mobius_add_expression(u, v):
     return ((1.0 + 2.0 * ip + vsq) * u + (1.0 - usq) * v) / (1.0 + 2.0 * ip + usq * vsq)
 
 
+def _assert_same_bits(got, want):
+    """Same dtype, shape and values, and the same sign on every entry that
+    is not NaN, so that a signed zero counts."""
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    real = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[real]), np.signbit(want[real]))
+
+
+def _operand_shapes(rng, dim, dtypes):
+    """(u, v) pairs as the kernels meet them: probe blocks (50, 1, n) x
+    (1, 8, n), flat batches and single points, in the given dtypes."""
+    u = sample_ball_points(dim, 50, rng)
+    v = sample_ball_points(dim, 50, rng)
+    pairs = ((u[:, None], v[None, :8]), (u, v), (u[0], v[0]))
+    return [(a.astype(dtypes[0]), b.astype(dtypes[1])) for a, b in pairs]
+
+
+DTYPE_MIXES = [(np.float64, np.float64), (np.longdouble, np.longdouble),
+               (np.longdouble, np.float64), (np.float64, np.longdouble)]
+
+
 @pytest.mark.parametrize("add,expression", [(einstein_add, _einstein_add_expression),
                                             (mobius_add, _mobius_add_expression)],
                          ids=["einstein", "mobius"])
-@pytest.mark.parametrize("dtypes", [(np.float64, np.float64), (np.longdouble, np.longdouble),
-                                    (np.longdouble, np.float64), (np.float64, np.longdouble)])
+@pytest.mark.parametrize("dtypes", DTYPE_MIXES)
 def test_addition_equals_its_expression_form(add, expression, dtypes):
-    # The kernels update one fresh temporary in place, in the order of the
-    # whole expression, so the bits must not move; longdouble operands, as
-    # in the gyrator identity, must keep their precision.
+    # The kernels fill one coordinate plane at a time below SHORT_AXIS (8)
+    # and the whole array from 8 on, in place, with the operations of the
+    # whole expression in the same order, so the bits must not move on
+    # either side of the split; longdouble operands, as in the gyrator
+    # identity, must keep their precision.
     rng = make_rng(7)
-    u = sample_ball_points(3, 50, rng).astype(dtypes[0])[:, None]
-    v = sample_ball_points(3, 8, rng).astype(dtypes[1])[None]
-    got, want = add(u, v), expression(u, v)
-    assert got.dtype == want.dtype == np.result_type(*dtypes)
-    assert got.shape == (50, 8, 3)
-    assert np.array_equal(got, want)
+    for dim in (3, 7, 8, 64):
+        for u, v in _operand_shapes(rng, dim, dtypes):
+            got, want = add(u, v), expression(u, v)
+            assert got.dtype == np.result_type(*dtypes)
+            _assert_same_bits(got, want)
+
+
+# Reference forms of the disk kernels: complex products, conjugates and
+# quotients of stacked real pairs, whose bits the plane kernels must keep.
+_ONE = np.array([1.0, 0.0])
+
+
+def _cmul(a, b):
+    re = a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
+    im = a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0]
+    return np.stack([re, im], axis=-1)
+
+
+def _conj(a):
+    return np.stack([a[..., 0], -a[..., 1]], axis=-1)
+
+
+def _cdiv(a, b):
+    return _cmul(a, _conj(b)) / dot(b, b)[..., None]
+
+
+def _cmobius_add_expression(a, b):
+    return _cdiv(a + b, _ONE + _cmul(_conj(a), b))
+
+
+def _cmobius_gyr_factor_expression(a, b):
+    return _cdiv(_ONE + _cmul(a, _conj(b)), _ONE + _cmul(_conj(a), b))
+
+
+def _rotation_gyr_expression(a, b, w):
+    return _cmul(_cmobius_gyr_factor_expression(a, b), w)
+
+
+def _signed_zero_pairs():
+    """Every pair of disk points with coordinates in {-0.0, 0.0, 0.3, -0.6}:
+    the kernel's 0.0 + im turns a -0.0 into +0.0, as the stacked form did."""
+    grid = np.array(np.meshgrid(*[[-0.0, 0.0, 0.3, -0.6]] * 4)).reshape(4, -1).T
+    return grid[:, :2], grid[:, 2:]
+
+
+@pytest.mark.parametrize("dtypes", DTYPE_MIXES)
+def test_disk_kernels_equal_their_stacked_forms(dtypes):
+    pairs = _operand_shapes(make_rng(8), 2, dtypes)
+    zeros = _signed_zero_pairs()
+    pairs.append((zeros[0].astype(dtypes[0]), zeros[1].astype(dtypes[1])))
+    for a, b in pairs:
+        _assert_same_bits(cmobius_add(a, b), _cmobius_add_expression(a, b))
+        _assert_same_bits(cmobius_gyr_factor(a, b), _cmobius_gyr_factor_expression(a, b))
+        # Rotate b's points, and the signed-zero grid, by gyr[a, b].
+        for w in (b, zeros[1].astype(dtypes[1])[:, None, None]):
+            _assert_same_bits(rotation_gyr(a, b, w), _rotation_gyr_expression(a, b, w))
