@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .mobius import rapidity_norm_unchecked
-from .vectors import promote_float
 
 
 def _one_plus_conj_times(a, b):
@@ -26,12 +25,12 @@ def _one_plus_conj_times(a, b):
 
 
 def _quotient(n, d):
-    """(n0 + i n1) / (d0 + i d1) for plane pairs n, d of one shape and
-    dtype, as a new (..., 2) array."""
+    """(n0 + i n1) / (d0 + i d1) for plane pairs n, d of one shape, as a new
+    (..., 2) array."""
     (n0, n1), (d0, d1) = n, d
     den = d0 * d0
     den += d1 * d1
-    out = np.empty(np.shape(d0) + (2,), d0.dtype)
+    out = np.empty(np.shape(d0) + (2,))
     re, im = out[..., 0], out[..., 1]
     np.multiply(n0, d0, out=re)
     re += n1 * d1
@@ -44,24 +43,24 @@ def _quotient(n, d):
 
 def cmobius_add(a, b):
     """Disk addition (a + b) / (1 + conj(a) b)."""
-    a = promote_float(a)
-    b = promote_float(b)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     s = (a[..., 0] + b[..., 0], a[..., 1] + b[..., 1])
     return _quotient(s, _one_plus_conj_times(a, b))
 
 
 def cmobius_gyr_factor(a, b):
     """Unimodular rotation factor (1 + a conj(b)) / (1 + conj(a) b)."""
-    a = promote_float(a)
-    b = promote_float(b)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     return _quotient(_one_plus_conj_times(b, a), _one_plus_conj_times(a, b))
 
 
 def rotation_gyr(a, b, w):
     """Closed-form disk gyration: multiplication by the rotation factor."""
     f = cmobius_gyr_factor(a, b)
-    w = promote_float(w)
-    out = np.empty(np.broadcast_shapes(f.shape, w.shape), np.result_type(f.dtype, w.dtype))
+    w = np.asarray(w, dtype=float)
+    out = np.empty(np.broadcast_shapes(f.shape, w.shape))
     re, im = out[..., 0], out[..., 1]
     np.multiply(f[..., 0], w[..., 0], out=re)
     re -= f[..., 1] * w[..., 1]

@@ -10,15 +10,15 @@ gyronorm_E on it.
 import numpy as np
 
 from .mobius import mobius_gyr, phi_inv, rapidity_norm_unchecked
-from .vectors import coordinate_planes, dot, promote_float
+from .vectors import coordinate_planes, dot
 
 
 def einstein_add(u, v):
     """Relativistic velocity addition of ball points (trailing axis):
     (u + v / gamma + (gamma / (1 + gamma)) (u.v) u) / (1 + u.v), gamma the
     Lorentz factor of u, evaluated in that order."""
-    u = promote_float(u)
-    v = promote_float(v)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
     ip = dot(u, v)
     gamma = 1.0 / np.sqrt(1.0 - dot(u, u))
     coef = gamma / (1.0 + gamma) * ip

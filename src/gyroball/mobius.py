@@ -11,23 +11,37 @@ gyronorms and metrics on it, behind the model's point check
 
 import numpy as np
 
-from .vectors import SHORT_AXIS, coordinate_planes, dot, euclidean_norm, promote_float
+from .vectors import SHORT_AXIS, coordinate_planes, dot, euclidean_norm
+
+
+def _rim_terms(u, v):
+    """|u + v|^2, pu = 1 - |u|^2 and pv = 1 - |v|^2 over the shared trailing
+    axis, each a sum of nonnegative terms near the rim.  Below SHORT_AXIS
+    |u + v|^2 is summed plane by plane, with the bits of ``dot(u + v, u + v)``
+    but no u + v array of the broadcast shape."""
+    n = u.shape[-1]
+    if n >= SHORT_AXIS:
+        s = u + v
+        ssq = dot(s, s)
+    else:
+        ssq = u[..., 0] + v[..., 0]
+        ssq *= ssq
+        for j in range(1, n):
+            s = u[..., j] + v[..., j]
+            s *= s
+            ssq += s
+    return ssq, 1.0 - dot(u, u), 1.0 - dot(v, v)
 
 
 def mobius_add(u, v):
     """Mobius addition of ball points (trailing axis):
     ((1 + 2 u.v + |v|^2) u + (1 - |u|^2) v) / (1 + 2 u.v + |u|^2 |v|^2),
-    evaluated in that order."""
-    u = promote_float(u)
-    v = promote_float(v)
-    ip = dot(u, v)
-    usq = dot(u, u)
-    vsq = dot(v, v)
-    one_2ip = 1.0 + 2.0 * ip
-    cu = one_2ip + vsq
-    cv = 1.0 - usq
-    den = one_2ip + usq * vsq
-    out, slabs = coordinate_planes(u, v, cu, cv, den)
+    evaluated as ((|u + v|^2 + pu) u + pu v) / (|u + v|^2 + pu pv), in that
+    order, so that near the rim no term of size 1 cancels (see mobius_gyr)."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    ssq, pu, pv = _rim_terms(u, v)
+    out, slabs = coordinate_planes(u, v, ssq + pu, pu, ssq + pu * pv)
     for o, uj, vj, a, b, d in slabs:
         np.multiply(a, uj, out=o)
         o += b * vj
@@ -80,11 +94,8 @@ def mobius_gyr(u, v, w):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    s = u + v
-    ssq = dot(s, s)[..., None]
-    pu = 1.0 - dot(u, u)[..., None]
-    pv = 1.0 - dot(v, v)[..., None]
-    n = s.shape[-1]
+    ssq, pu, pv = (x[..., None] for x in _rim_terms(u, v))
+    n = u.shape[-1]
     if n >= SHORT_AXIS:
         lw = dot(v, w)[..., None] * u - dot(u, w)[..., None] * v
         llw = dot(v, lw)[..., None] * u - dot(u, lw)[..., None] * v

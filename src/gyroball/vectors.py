@@ -30,16 +30,6 @@ DEFAULT_ATOL = 1e-9
 DEFAULT_RTOL = 1e-9
 
 
-def promote_float(v) -> np.ndarray:
-    """View as a float array without narrowing wider float dtypes.
-
-    Kernels go through this instead of ``asarray(..., float)`` so they can be
-    evaluated in extended precision where cancellation demands it.
-    """
-    v = np.asarray(v)
-    return v if v.dtype.kind == "f" else v.astype(float)
-
-
 def dot(u, v):
     """Inner product of arrays over their shared trailing axis.
 
@@ -58,7 +48,7 @@ def dot(u, v):
 
 
 def coordinate_planes(u, v, *coefs):
-    """A new array ``out`` of the broadcast shape and dtype of u and v, which
+    """A new float array ``out`` of the broadcast shape of u and v, which
     share their trailing length n, and the slabs a kernel fills in place:
     tuples (out slab, u slab, v slab, *coefficients) of per-row coefficient
     planes ``coefs``.  Below SHORT_AXIS the slabs are the coordinate planes
@@ -67,7 +57,7 @@ def coordinate_planes(u, v, *coefs):
     the whole arrays with columns c[..., None], since a loop over strided
     planes is slower there.  Each entry gets the same operations either way,
     so the bits do not depend on the split."""
-    out = np.empty(np.broadcast_shapes(u.shape, v.shape), np.result_type(u.dtype, v.dtype))
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape))
     if out.shape[-1] >= SHORT_AXIS:
         return out, [(out, u, v, *(c[..., None] for c in coefs))]
     return out, [(out[..., j], u[..., j], v[..., j], *coefs) for j in range(out.shape[-1])]

@@ -77,6 +77,15 @@ MUTANTS = [
      "for j in range(out.shape[-1])]", "for j in range(out.shape[-1] - 1)]", KILLED),
     ("disk-quotient-by-reciprocal",
      "re /= den", "re *= 1.0 / den", KILLED),
+    # The Mobius rim terms: sums of nonnegative terms, which the addition's
+    # expression form and the oracle tests pin.
+    ("mobius-add-cancelling-denominator",
+     "ssq + pu, pu, ssq + pu * pv)",
+     "ssq + pu, pu, 1.0 + 2.0 * dot(u, v) + dot(u, u) * dot(v, v))", KILLED),
+    ("sum-square-expanded",
+     "return ssq, 1.0 - dot(u, u), 1.0 - dot(v, v)",
+     "return dot(u, u) + 2.0 * dot(u, v) + dot(v, v), 1.0 - dot(u, u), 1.0 - dot(v, v)",
+     KILLED),
 ]
 
 

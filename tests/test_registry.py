@@ -175,6 +175,13 @@ def test_only_the_registry_applies_the_point_checks():
     assert not found, found
 
 
+def test_no_module_names_longdouble():
+    # One working precision: every kernel computes in float64, so no result
+    # depends on what the platform's longdouble is.
+    found = [path.name for path, _ in _modules() if "longdouble" in path.read_text()]
+    assert not found, found
+
+
 def test_all_lists_every_name_the_package_binds():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     bound = set()
