@@ -49,17 +49,8 @@ ISOMETRY_STEPS = 4
 POSITIVITY_FLOOR = 1e-7
 
 # Probe checks run on blocks of pairs whose (block, P, n) arrays hold at most
-# BLOCK_ELEMENTS elements, 2 MiB of float64, and at most BLOCK_ROWS rows of
-# block * P.  The row cap binds below dim 16, 512 pairs of 32 probes: the
-# kernels' (block, P) coefficient planes then take 128 KiB, and glibc serves
-# them from memory it already holds instead of fresh mmaps whose pages fault
-# on first touch.  The einstein and mobius axioms, table1 and
-# homogeneity-isotropy suites faulted 24k pages instead of 45k at dim 3, and
-# 164k and 248k instead of 199k and 317k at dims 8 and 12, where the
-# additions work on the whole axis.  From dim 16 on the element cap binds,
-# as before.
-BLOCK_ELEMENTS = 1 << 18
-BLOCK_ROWS = 1 << 14
+# BLOCK_ELEMENTS elements, 256 KiB of float64.
+BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -192,15 +183,14 @@ class _SuiteRun:
         function-equality checks.  Yields ``(aP, bP, xP)`` with views
         ``aP = a[i:j, None]``, ``bP = b[i:j, None]`` of shape (j - i, 1, n)
         and ``xP = probes[None]`` of shape (1, P, n).  Kernels broadcast them
-        to (j - i, P, n) results, at most BLOCK_ELEMENTS elements and
-        BLOCK_ROWS rows unless one pair exceeds them, while terms that
-        depend on (a, b) alone are computed once per pair.  Blocks are taken
-        in order and recorded under one name, so result row k of a block
-        gets ``sample_index`` i * P + k, which is i * P + j for (a[i], b[i],
-        probes[j])."""
+        to (j - i, P, n) results, at most BLOCK_ELEMENTS elements unless one
+        pair exceeds them, while terms that depend on (a, b) alone are
+        computed once per pair.  Blocks are taken in order and recorded under
+        one name, so result row k of a block gets ``sample_index`` i * P + k,
+        which is i * P + j for (a[i], b[i], probes[j])."""
         probes = self.draw(self.cfg.probes)
         p, n = probes.shape
-        step = max(1, min(BLOCK_ROWS, BLOCK_ELEMENTS // n) // p)
+        step = max(1, BLOCK_ELEMENTS // (n * p))
         for i in range(0, len(a), step):
             yield a[i:i + step, None], b[i:i + step, None], probes[None]
 
@@ -225,16 +215,16 @@ class _SuiteRun:
         by_row = len(shape) > len(lead)
 
         def row(v, i):
-            # Row i (or rows i) of v broadcast against the leading axes.
+            # Row i of v broadcast against the leading axes.
             v = np.asarray(v)
             return np.broadcast_to(v, lead + v.shape[len(lead):])[np.unravel_index(i, lead)]
 
-        # A non-finite difference comes from a non-finite operand, whose row
-        # is skipped below, or from a finite pair that overflowed, whose row
-        # is checked like any other; numpy need not warn of either.
+        # A row with a non-finite operand is skipped.  A finite pair whose
+        # difference overflowed is checked like any other; numpy need not
+        # warn of it.
+        finite = np.isfinite(lhs) & np.isfinite(rhs)
         with np.errstate(over="ignore", invalid="ignore"):
             err = lhs - rhs
-            finite = np.isfinite(err)
             if mode == "eq":
                 np.abs(err, out=err)
                 bound = np.abs(lhs, out=np.empty(shape))
@@ -247,15 +237,7 @@ class _SuiteRun:
         if by_row:
             finite, ok = _all_coordinates(finite), _all_coordinates(ok)
         finite, ok = finite.reshape(-1), ok.reshape(-1)
-        fail_idx = np.flatnonzero(~ok)
-        bad = np.flatnonzero(~finite)
-        if bad.size:
-            # Only a row whose difference is not finite can have a
-            # non-finite operand.  Such rows are skipped; a finite pair whose
-            # difference overflowed is checked.
-            operands = np.isfinite(row(lhs, bad)) & np.isfinite(row(rhs, bad))
-            finite[bad] = operands.all(axis=-1) if by_row else operands
-            fail_idx = fail_idx[finite[fail_idx]]
+        fail_idx = np.flatnonzero(finite & ~ok)
         n = finite.size
         skipped_rows = n - int(np.count_nonzero(finite))
         if all(r.name != name for r in self.results):
@@ -265,8 +247,6 @@ class _SuiteRun:
 
         for i in fail_idx[: MAX_FAILURES - len(res.failures)]:
             diff = row(err, i)
-            if mode == "le":
-                diff = np.maximum(diff, 0.0)
             if by_row:
                 diff = np.max(np.where(np.isfinite(diff), diff, 0.0))
             res.failures.append(Counterexample(

@@ -102,9 +102,8 @@ CONVERSIONS = {
 _HOMS = {**CONVERSIONS, ("group", "group"): core.double}
 
 
-def _build(name, dim, with_hom=True):
+def _build(name, dim, hom):
     row = _MODELS[name]
-    hom = (_build(row.hom_target, dim, False), _HOMS[name, row.hom_target]) if with_hom else None
     return GyrogroupModel(
         name=name,
         dim=dim,
@@ -167,7 +166,9 @@ def check_points(name, *points):
 def get_model(name, dim=None) -> GyrogroupModel:
     """Build a registered gyrogroup model, at its default dim when ``dim`` is
     None, wiring its reference homomorphism."""
-    return _build(name, _model_dim(name, dim))
+    dim = _model_dim(name, dim)
+    target = _MODELS[name].hom_target
+    return _build(name, dim, (_build(target, dim, None), _HOMS[name, target]))
 
 
 def gyronorm_names(model_name):

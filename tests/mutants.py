@@ -49,17 +49,18 @@ MUTANTS = [
     ("eq-bound-from-rhs-alone",
      "bound = np.abs(lhs, out=np.empty(shape))", "bound = np.abs(rhs, out=np.empty(shape))",
      "equivalent: stricter by at most rtol * |lhs - rhs|, far below atol where rows pass"),
-    ("le-diff-unclamped",
-     "diff = np.maximum(diff, 0.0)", "diff = diff",
-     "equivalent: every less-equal check has scalar rows, and a failing one has diff > 0"),
     ("isotropy-moves-every-probe",
      ".any(axis=1)", ".all(axis=1)",
      "equivalent: stricter, and a curved model's gyration moves every sampled probe"),
     ("every-row-finite",
-     "finite = np.isfinite(err)", "finite = np.ones(shape, dtype=bool)", KILLED),
-    ("overflowed-pair-skipped",
-     "finite[bad] = operands.all(axis=-1) if by_row else operands", "finite[bad] = False",
+     "finite = np.isfinite(lhs) & np.isfinite(rhs)", "finite = np.ones(shape, dtype=bool)",
      KILLED),
+    ("overflowed-pair-skipped",
+     "finite = np.isfinite(lhs) & np.isfinite(rhs)", "finite = np.isfinite(lhs - rhs)", KILLED),
+    ("skipped-rows-counted-as-failures",
+     "np.flatnonzero(finite & ~ok)", "np.flatnonzero(~ok)", KILLED),
+    ("blocks-ignore-dim",
+     "BLOCK_ELEMENTS // (n * p)", "BLOCK_ELEMENTS // p", KILLED),
     ("isotropy-scans-probe-0-only",
      "if rest.any():", "if False:", KILLED),
     # The input guard of the public metrics, gyronorms and CLI points.

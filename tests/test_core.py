@@ -93,6 +93,11 @@ def test_apply_isometry_and_witnesses(einstein2):
     assert np.allclose(apply_isometry(m, spec, x), y, atol=1e-12)
 
 
+def test_apply_isometry_rejects_an_unknown_step(einstein2):
+    with pytest.raises(TypeError, match="unknown isometry step"):
+        apply_isometry(einstein2.model, IsometrySpec(("reflect",)), np.zeros(2))
+
+
 def test_homogeneity_witness_maps_and_preserves(einstein2):
     m, d = einstein2.model, einstein2.distance
     x = np.array([0.3, 0.0])

@@ -21,7 +21,7 @@ from gyroball import (
 )
 from gyroball import cli, registry
 from gyroball.core import gyr_via_gyrator_identity
-from gyroball.engine import BLOCK_ROWS, _SuiteRun
+from gyroball.engine import BLOCK_ELEMENTS, _SuiteRun
 from gyroball.rng import make_rng
 
 FAST = CheckConfig(samples=500)
@@ -383,6 +383,38 @@ def test_recorder_skips_non_finite_rows_and_checks_overflowed_ones(mode, side, b
         assert c.diff == diff
 
 
+@pytest.mark.parametrize("side", ("lhs", "rhs"))
+@pytest.mark.parametrize("mode", ("eq", "le"))
+@pytest.mark.parametrize("operand", ("probe", "pair"))
+def test_recorder_skips_the_rows_of_a_broadcast_non_finite_operand(monkeypatch, operand,
+                                                                   mode, side):
+    # A full (B, P, n) block against a smaller operand: a (1, P, n) one with
+    # a NaN at one probe skips that probe's column of rows, a (B, 1, n) one
+    # with an inf in one pair skips that pair's P rows.  Every other row
+    # differs by 1 and fails, so each is checked.
+    monkeypatch.setattr("gyroball.engine.MAX_FAILURES", 100)
+    b, p, n = 4, 5, 3
+    small = (1, p, n) if operand == "probe" else (b, 1, n)
+    base = make_rng(2).integers(-4, 4, small) / 8.0
+    full = np.broadcast_to(base, (b, p, n)) + 1.0
+    if operand == "probe":
+        base[0, 2, 1] = np.nan
+    else:
+        base[2, 0, 1] = np.inf
+    lhs, rhs = (full, base) if side == "lhs" else (base, full)
+    run = _SuiteRun(get_normed("einstein"), FAST)
+    (run.equal if mode == "eq" else run.less_equal)("p", {}, lhs, rhs)
+    (res,) = run.results
+    skipped = [i * p + 2 for i in range(b)] if operand == "probe" else list(range(2 * p, 3 * p))
+    checked = [k for k in range(b * p) if k not in skipped]
+    assert (res.checked, res.skipped, run.skipped) == (len(checked), len(skipped), len(skipped))
+    # A less-equal row fails only with lhs above rhs.
+    failing = checked if mode == "eq" or side == "lhs" else []
+    assert res.failed == len(failing)
+    assert [c.sample_index for c in res.failures] == failing
+    assert all(c.diff == 1.0 for c in res.failures)
+
+
 # --- probe checks: broadcast (N, 1, n) x (1, P, n) rows ----------------------
 
 BROADCAST_MODELS = (("einstein", 1), ("einstein", 3), ("einstein", 5),
@@ -544,31 +576,27 @@ def test_blocked_probe_checks_match_one_block(monkeypatch, suite, model, dim, pa
         assert any(i >= pairs * cfg.probes for i in rows), rows
 
 
-@pytest.mark.parametrize("model,dim", (("poincare-disk", 2), ("mobius", 2), ("einstein", 3),
-                                       ("mobius", 7), ("mobius", 16), ("einstein", 64)))
-def test_probe_blocks_take_the_row_cap_below_dim_16(model, dim):
-    # Below dim 16 a block holds as many pairs as fit in BLOCK_ROWS rows of
-    # pair x probe, so a kernel's (block, P) float64 planes take at most
-    # 128 KiB; from dim 16 on blocks keep their element-capped size,
-    # 2^18 // (P * n) pairs.
+@pytest.mark.parametrize("model,dim", (("einstein", 1), ("poincare-disk", 2), ("mobius", 2),
+                                       ("einstein", 3), ("mobius", 7), ("mobius", 8),
+                                       ("mobius", 16), ("einstein", 64)))
+def test_probe_blocks_hold_at_most_block_elements(model, dim):
+    # One cap at every dim: a block holds as many pairs as fit in
+    # BLOCK_ELEMENTS elements of pair x probe x coordinate, 256 KiB of float64.
     cfg = CheckConfig(samples=3000)
     p = cfg.probes
     a = np.zeros((cfg.samples, dim))
     run = _SuiteRun(get_normed(model, dim=dim), cfg)
     pairs = [aP.shape[0] for aP, _, _ in run.probe_blocks(a, a)]
     assert sum(pairs) == cfg.samples
+    assert pairs[0] == max(1, BLOCK_ELEMENTS // (p * dim))
     assert len(set(pairs[:-1])) == 1 and pairs[-1] <= pairs[0]
-    if dim < 16:
-        assert pairs[0] * p <= BLOCK_ROWS < (pairs[0] + 1) * p
-        assert BLOCK_ROWS * np.dtype(np.float64).itemsize <= 128 * 2**10
-    else:
-        assert pairs[0] == 2**18 // (p * dim)
+    assert BLOCK_ELEMENTS * np.dtype(np.float64).itemsize <= 256 * 2**10
 
 
 def test_probe_check_memory_stays_bounded():
-    # Probe checks materialise (block, P, n) arrays of at most 2 MiB, not
+    # Probe checks materialise (block, P, n) arrays of at most 256 KiB, not
     # (N, P, n) ones: at dim 64 the latter are 31.25 MiB each and the suite
-    # peaked at 194 MiB; with blocks it peaks at about 17 MiB.
+    # peaked at 194 MiB; with blocks it peaks at about 9 MiB.
     tracemalloc.start()
     try:
         report = run_suite("mobius", "axioms", CheckConfig(samples=2000), dim=64)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import gyroball
-from gyroball import (BoundaryError, CheckConfig, DimensionMismatchError, DomainError, cli,
-                      get_model, get_normed, gyronorm_E, gyronorm_M, make_rng, run_suite)
+from gyroball import (BoundaryError, CheckConfig, DimensionMismatchError, DomainError,
+                      UnknownNameError, cli, get_model, get_normed, gyronorm_E, gyronorm_M,
+                      make_rng, run_suite)
 from gyroball.registry import (
     COMPLEX_MODELS,
     CONVERSIONS,
@@ -119,6 +120,12 @@ def test_every_model_has_a_default_dim_and_a_registered_default_gyronorm():
         nm = get_normed(model)
         assert nm.model.dim == DEFAULT_DIM[model]
         assert nm.norm_name == DEFAULT_GYRONORM[model]
+
+
+def test_gyronorm_names_of_an_unknown_model_name_the_valid_models():
+    with pytest.raises(UnknownNameError) as err:
+        gyronorm_names("klein")
+    assert str(err.value) == f"unknown model 'klein'; valid models: {', '.join(MODEL_NAMES)}"
 
 
 def test_disk_runs_at_its_default_dim():
