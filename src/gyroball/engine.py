@@ -219,27 +219,37 @@ class _SuiteRun:
             v = np.asarray(v)
             return np.broadcast_to(v, lead + v.shape[len(lead):])[np.unravel_index(i, lead)]
 
-        # A row with a non-finite operand is skipped.  A finite pair whose
-        # difference overflowed is checked like any other; numpy need not
-        # warn of it.
-        finite = np.isfinite(lhs) & np.isfinite(rhs)
         with np.errstate(over="ignore", invalid="ignore"):
             err = lhs - rhs
-            if mode == "eq":
-                np.abs(err, out=err)
-                bound = np.abs(lhs, out=np.empty(shape))
-                np.maximum(bound, np.abs(rhs), out=bound)
-            else:
-                bound = np.abs(rhs)
-            bound *= cfg.rtol
-            bound += cfg.atol
-            ok = err <= bound
-        if by_row:
-            finite, ok = _all_coordinates(finite), _all_coordinates(ok)
-        finite, ok = finite.reshape(-1), ok.reshape(-1)
-        fail_idx = np.flatnonzero(finite & ~ok)
-        n = finite.size
-        skipped_rows = n - int(np.count_nonzero(finite))
+            lo, hi = err.min(initial=np.inf), err.max(initial=-np.inf)
+        # Fast path: when every difference lies in [-atol, atol] (for "le":
+        # is finite and at most atol), every row passes and none is skipped.
+        # A finite difference has finite operands, NaN fails each comparison,
+        # and the rounded bound atol + rtol * scale is at least atol.  The
+        # initial values make a check of zero rows legal.
+        if hi <= cfg.atol and (-cfg.atol <= lo if mode == "eq" else math.isfinite(lo)):
+            fail_idx, n, skipped_rows = (), math.prod(lead), 0
+        else:
+            # A row with a non-finite operand is skipped.  A finite pair whose
+            # difference overflowed is checked like any other; numpy need not
+            # warn of it.
+            finite = np.isfinite(lhs) & np.isfinite(rhs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if mode == "eq":
+                    np.abs(err, out=err)
+                    bound = np.abs(lhs, out=np.empty(shape))
+                    np.maximum(bound, np.abs(rhs), out=bound)
+                else:
+                    bound = np.abs(rhs)
+                bound *= cfg.rtol
+                bound += cfg.atol
+                ok = err <= bound
+            if by_row:
+                finite, ok = _all_coordinates(finite), _all_coordinates(ok)
+            finite, ok = finite.reshape(-1), ok.reshape(-1)
+            fail_idx = np.flatnonzero(finite & ~ok)
+            n = finite.size
+            skipped_rows = n - int(np.count_nonzero(finite))
         if all(r.name != name for r in self.results):
             self.results.append(PropertyResult(name, "pass", 0, 0, 0, [], note))
         res = next(r for r in self.results if r.name == name)
@@ -257,7 +267,7 @@ class _SuiteRun:
                 diff=float(diff),
             ))
         res.checked += int(n - skipped_rows)
-        res.failed += int(fail_idx.size)
+        res.failed += len(fail_idx)
         res.skipped += skipped_rows
         if res.checked == 0 and res.skipped > 0:
             res.status = "skipped"

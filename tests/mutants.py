@@ -59,6 +59,11 @@ MUTANTS = [
      "finite = np.isfinite(lhs) & np.isfinite(rhs)", "finite = np.isfinite(lhs - rhs)", KILLED),
     ("skipped-rows-counted-as-failures",
      "np.flatnonzero(finite & ~ok)", "np.flatnonzero(~ok)", KILLED),
+    # The recorder's fast path for blocks whose differences lie within atol.
+    ("fast-path-admits-non-finite",
+     'else math.isfinite(lo))', "else True)", KILLED),
+    ("fast-path-ignores-sign",
+     '(-cfg.atol <= lo if mode == "eq"', '(True if mode == "eq"', KILLED),
     ("blocks-ignore-dim",
      "BLOCK_ELEMENTS // (n * p)", "BLOCK_ELEMENTS // p", KILLED),
     ("isotropy-scans-probe-0-only",

@@ -1,8 +1,11 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gyroball import (
     CheckConfig,
@@ -21,7 +24,7 @@ from gyroball import (
 )
 from gyroball import cli, registry
 from gyroball.core import gyr_via_gyrator_identity
-from gyroball.engine import BLOCK_ELEMENTS, _SuiteRun
+from gyroball.engine import BLOCK_ELEMENTS, MAX_FAILURES, _SuiteRun
 from gyroball.rng import make_rng
 
 FAST = CheckConfig(samples=500)
@@ -413,6 +416,173 @@ def test_recorder_skips_the_rows_of_a_broadcast_non_finite_operand(monkeypatch, 
     assert res.failed == len(failing)
     assert [c.sample_index for c in res.failures] == failing
     assert all(c.diff == 1.0 for c in res.failures)
+
+
+# --- the recorder's fast path: every difference within atol ----------------
+#
+# A block whose differences all lie in [-atol, atol] ("le": are finite and at
+# most atol) is tallied without the per-row rule.  These cases sit at its edge.
+
+def _record_parts(cfg, mode, *parts):
+    """One property's result after recording each (lhs, rhs) part in turn."""
+    run = _SuiteRun(get_normed("einstein"), cfg)
+    for lhs, rhs in parts:
+        (run.equal if mode == "eq" else run.less_equal)("p", {"x": lhs}, lhs, rhs)
+    (res,) = run.results
+    return res, run
+
+
+@pytest.mark.parametrize("fast_first", (True, False))
+@pytest.mark.parametrize("mode", ("eq", "le"))
+def test_recorder_counts_a_within_atol_block_recorded_in_two_parts(mode, fast_first):
+    # A (4, 5, 3) block within atol/2 of rhs and a (2, 5, 3) block whose row
+    # 7 is off by 1: every row is counted and the witness index runs on
+    # across the parts.
+    atol = FAST.atol
+    near = np.full((4, 5, 3), 0.25) + atol / 2 * make_rng(3).choice([-1.0, 1.0], (4, 5, 3))
+    far = np.full((2, 5, 3), 0.25)
+    far.reshape(-1, 3)[7, 1] += 1.0
+    parts = [(near, np.full((1, 1, 3), 0.25)), (far, np.full((2, 5, 3), 0.25))]
+    if not fast_first:
+        parts.reverse()
+    res, run = _record_parts(FAST, mode, *parts)
+    assert (res.status, res.checked, res.failed, res.skipped, run.skipped) == (
+        "fail", 30, 1, 0, 0)
+    assert [c.sample_index for c in res.failures] == [20 * fast_first + 7]
+    assert res.failures[0].diff == 1.0
+
+
+def test_recorder_fails_an_eq_row_at_minus_two_atol():
+    # Every other difference is 0, so hi <= atol; lo = -2 atol rules the
+    # fast path out for "eq" and the full rule fails the row.  In "le" mode
+    # the same block is within the fast path and passes.
+    cfg = dataclasses.replace(FAST, atol=1e-9, rtol=0.0)
+    lhs = np.zeros((3, 4, 2))
+    lhs[1, 2, 0] = -2e-9
+    res, _ = _record_parts(cfg, "eq", (lhs, np.zeros((1, 4, 2))))
+    assert (res.status, res.checked, res.failed) == ("fail", 12, 1)
+    assert [(c.sample_index, c.diff) for c in res.failures] == [(6, 2e-9)]
+    res, _ = _record_parts(cfg, "le", (lhs, np.zeros((1, 4, 2))))
+    assert (res.status, res.checked, res.failed) == ("pass", 12, 0)
+
+
+@pytest.mark.parametrize("side", ("lhs", "rhs"))
+def test_recorder_skips_the_one_infinite_row_of_a_le_block(side):
+    # lhs = -inf or rhs = +inf gives a difference of -inf, which is at most
+    # atol: lo is not finite, so the full rule runs and skips exactly that
+    # row; every other row passes.
+    lhs, rhs = np.zeros((3, 4, 2)), np.full((3, 4, 2), 0.5)
+    if side == "lhs":
+        lhs[2, 1, 1] = -np.inf
+    else:
+        rhs[2, 1, 1] = np.inf
+    res, run = _record_parts(FAST, "le", (lhs, rhs))
+    assert (res.status, res.checked, res.failed, res.skipped, run.skipped) == (
+        "pass", 11, 0, 1, 1)
+
+
+@pytest.mark.parametrize("mode", ("eq", "le"))
+def test_recorder_passes_rows_beyond_atol_within_rtol_scale(mode):
+    # Differences of 1e-10 at scale 1 exceed atol 1e-12, so the fast path
+    # does not apply, but are within atol + rtol * 1 and pass by the full
+    # rule; with rtol 0 the same rows fail.
+    lhs = 1.0 + 1e-10 * np.arange(1, 6)
+    rhs = np.ones(5)
+    cfg = dataclasses.replace(FAST, atol=1e-12, rtol=1e-9)
+    res, _ = _record_parts(cfg, mode, (lhs, rhs))
+    assert (res.status, res.checked, res.failed) == ("pass", 5, 0)
+    res, _ = _record_parts(dataclasses.replace(cfg, rtol=0.0), mode, (lhs, rhs))
+    assert (res.status, res.checked, res.failed) == ("fail", 5, 5)
+
+
+@pytest.mark.parametrize("mode", ("eq", "le"))
+def test_recorder_with_atol_zero(mode):
+    # With atol 0 only exact equality, and for "le" any finite lhs at or
+    # below rhs, takes the fast path; a difference of one ulp needs rtol.
+    cfg = dataclasses.replace(FAST, atol=0.0, rtol=0.0)
+    rhs = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    res, _ = _record_parts(cfg, mode, (rhs.copy(), rhs))
+    assert (res.status, res.checked, res.failed) == ("pass", 3, 0)
+    below = np.nextafter(rhs, -np.inf)
+    res, _ = _record_parts(cfg, mode, (below, rhs))
+    assert (res.status, res.checked, res.failed) == (
+        ("fail", 3, 3) if mode == "eq" else ("pass", 3, 0))
+    above = np.nextafter(rhs, np.inf)
+    res, _ = _record_parts(cfg, mode, (above, rhs))
+    assert (res.status, res.checked, res.failed) == ("fail", 3, 3)
+    res, _ = _record_parts(dataclasses.replace(cfg, rtol=1e-15), mode, (above, rhs))
+    assert (res.status, res.checked, res.failed) == ("pass", 3, 0)
+
+
+def _oracle_row(lhs, rhs, mode, cfg, by_row):
+    """Outcome of one row by the recorder's rule, coordinate by coordinate
+    in Python floats: ("skip", None) or ("pass" | "fail", diff).  A 1-D
+    row's diff is its difference, a block row's the largest finite one."""
+    if not all(math.isfinite(v) for v in (*lhs, *rhs)):
+        return "skip", None
+    errs, ok = [], True
+    for x, y in zip(lhs, rhs):
+        err = x - y
+        if mode == "eq":
+            err, scale = abs(err), max(abs(x), abs(y))
+        else:
+            scale = abs(y)
+        ok = ok and err <= scale * cfg.rtol + cfg.atol
+        errs.append(err)
+    diff = max(e if math.isfinite(e) else 0.0 for e in errs) if by_row else errs[0]
+    return ("pass" if ok else "fail"), diff
+
+
+@st.composite
+def _recorder_checks(draw):
+    """(cfg, mode, by_row, lhs, rhs, split): a 1-D or broadcast (B, P, n)
+    check with values at the fast path's edges, recorded in two parts split
+    at ``split`` along axis 0; either part may hold no row."""
+    atol = draw(st.sampled_from((1e-9, 2.0 ** -30, 0.0)))
+    cfg = dataclasses.replace(FAST, atol=atol, rtol=draw(st.sampled_from((0.0, 1e-9))))
+    values = st.sampled_from([0.0, atol / 2, -atol / 2, atol, -atol, 2 * atol, -2 * atol,
+                              1 + 1e-10, 1 - 1e-10, 1e308, -1e308, np.inf, -np.inf,
+                              np.nan])
+    # Mostly zeros, so that many checks lie within atol.
+    elements = st.one_of(st.just(0.0), st.just(0.0), values)
+    if draw(st.booleans()):
+        n_rows = draw(st.integers(1, 12))
+        shapes = [(n_rows,), (n_rows,)]
+        by_row, lead = False, n_rows
+    else:
+        b, p, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        options = [(b, p, n), (1, p, n), (b, 1, n)]
+        shapes = [(b, p, n), draw(st.sampled_from(options))]
+        if draw(st.booleans()):
+            shapes.reverse()
+        by_row, lead = True, b
+    lhs, rhs = (draw(hnp.arrays(float, shape, elements=elements)) for shape in shapes)
+    mode = draw(st.sampled_from(("eq", "le")))
+    return cfg, mode, by_row, lhs, rhs, draw(st.integers(0, lead))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_recorder_checks())
+def test_recorder_matches_a_per_row_oracle(check):
+    cfg, mode, by_row, lhs, rhs, split = check
+    b = max(lhs.shape[0], rhs.shape[0])
+
+    def part(v, sl):
+        return v[sl] if v.shape[0] == b else v
+
+    parts = (slice(None, split), slice(split, None))
+    with np.errstate(all="raise"):
+        res, run = _record_parts(cfg, mode, *[(part(lhs, sl), part(rhs, sl)) for sl in parts])
+    full_lhs, full_rhs = np.broadcast_arrays(lhs, rhs)
+    width = full_lhs.shape[-1] if by_row else 1
+    rows = [_oracle_row(x, y, mode, cfg, by_row)
+            for x, y in zip(*(v.reshape(-1, width).tolist() for v in (full_lhs, full_rhs)))]
+    failing = [(i, diff) for i, (outcome, diff) in enumerate(rows) if outcome == "fail"]
+    skipped = sum(outcome == "skip" for outcome, _ in rows)
+    assert (res.checked, res.failed, res.skipped, run.skipped) == (
+        len(rows) - skipped, len(failing), skipped, skipped)
+    assert [(c.sample_index, c.diff) for c in res.failures] == failing[:len(res.failures)]
+    assert len(res.failures) == min(len(failing), MAX_FAILURES)
 
 
 # --- probe checks: broadcast (N, 1, n) x (1, P, n) rows ----------------------
