@@ -1,8 +1,9 @@
 """Einstein gyrogroup on the open unit ball.
 
-Gyrations, per-pair rotation matrices below dim 8, are borrowed from the
-Mobius model: phi is radial and gyrations are orthogonal, so
-gyr_E[u, v] = gyr_M[phi_inv u, phi_inv v].  So is the engine-facing rapidity
+Gyrations, per-pair rotation operators below dim 8 built and applied from
+elementwise passes with no BLAS, so with the same bits on every CPU, are
+borrowed from the Mobius model: phi is radial and gyrations are orthogonal,
+so gyr_E[u, v] = gyr_M[phi_inv u, phi_inv v].  So is the engine-facing rapidity
 gyronorm atanh|v| (rapidity_norm_unchecked); the registry builds the guarded
 gyronorm_E on it.
 """

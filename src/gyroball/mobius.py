@@ -58,8 +58,11 @@ def phi(v):
     convert`` is the checked entry point.
     """
     v = np.asarray(v, dtype=float)
-    vsq = dot(v, v)[..., None]
-    return 2.0 * v / (1.0 + vsq)
+    out, slabs = coordinate_planes(v, v, 1.0 + dot(v, v))
+    for o, vj, _, d in slabs:
+        np.multiply(2.0, vj, out=o)
+        o /= d
+    return out
 
 
 def phi_inv(w):
@@ -70,8 +73,10 @@ def phi_inv(w):
     An unchecked kernel, like phi: a point outside the ball gives NaN.
     """
     w = np.asarray(w, dtype=float)
-    wsq = dot(w, w)[..., None]
-    return w / (1.0 + np.sqrt(1.0 - wsq))
+    out, slabs = coordinate_planes(w, w, 1.0 + np.sqrt(1.0 - dot(w, w)))
+    for o, wj, _, d in slabs:
+        np.divide(wj, d, out=o)
+    return out
 
 
 def mobius_gyr(u, v, w):
@@ -87,28 +92,50 @@ def mobius_gyr(u, v, w):
       nonnegative terms, so they keep their relative accuracy as u + v
       approaches 0, where D is smallest.
 
-    Below SHORT_AXIS coordinates each broadcast (u, v) row gets the matrix
-    I + (2(1 + u.v) L + 2 L @ L) / D, which the probe checks apply to 32 rows.
-    L @ L, unlike its expanded form, vanishes with L; in dim 1, L = 0.
+    Below SHORT_AXIS coordinates each broadcast (u, v) row gets the operator
+    g = I + (c L + 2 LL) / D, c = 2(1 + u.v), which the probe checks apply
+    to 32 rows.  It is built and applied by elementwise passes alone, with
+    no BLAS call, so its bits do not depend on the CPU: L_ij = u_i v_j -
+    v_i u_j, (LL)_ij = sum_k L_ik L_kj summed in k order, g_ij = (c L_ij +
+    2 (LL)_ij) / D with 1 added to each g_ii, and out_i = sum_j g_ij w_j
+    summed in j order.  LL, unlike its expanded form, vanishes with L; in
+    dim 1, L = 0.  The entries are stacked as (n, n, *lead) from contiguous
+    coordinate planes with the leading axes reversed (.T), so that each
+    ufunc call covers every entry and numpy's inner loop runs along the
+    pairs.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    ssq, pu, pv = (x[..., None] for x in _rim_terms(u, v))
     n = u.shape[-1]
     if n >= SHORT_AXIS:
+        ssq, pu, pv = (x[..., None] for x in _rim_terms(u, v))
         lw = dot(v, w)[..., None] * u - dot(u, w)[..., None] * v
         llw = dot(v, lw)[..., None] * u - dot(u, lw)[..., None] * v
         return w + ((ssq + pu + pv) * lw + 2.0 * llw) / (ssq + pu * pv)
-    ssq, pu, pv = ssq[..., None], pu[..., None], pv[..., None]
-    lm = u[..., :, None] * v[..., None, :] - v[..., :, None] * u[..., None, :]
-    g = np.eye(n) + ((ssq + pu + pv) * lm + 2.0 * (lm @ lm)) / (ssq + pu * pv)
-    # One output coordinate at a time: unlike np.matmul, this gives each row
-    # the same bits however the leading axes broadcast.
-    out = np.empty(np.broadcast_shapes(g.shape[:-1], w.shape))
+    # One number of axes for all three, so that the reversed leading axes
+    # broadcast as the leading axes do.
+    nd = max(u.ndim, v.ndim, w.ndim)
+    u, v, w = (x.reshape((1,) * (nd - x.ndim) + x.shape) for x in (u, v, w))
+    ssq, pu, pv = (x.T for x in _rim_terms(u, v))
+    ut, vt, wt = (np.ascontiguousarray(x.T) for x in (u, v, w))
+    g = ut[:, None] * vt[None]
+    g -= vt[:, None] * ut[None]
+    ll = g[:, 0, None] * g[None, 0]
+    term = np.empty_like(ll)
+    for k in range(1, n):
+        ll += np.multiply(g[:, k, None], g[None, k], out=term)
+    g *= ssq + pu + pv
+    ll *= 2.0
+    g += ll
+    g /= ssq + pu * pv
     for i in range(n):
-        out[..., i] = dot(g[..., i, :], w)
-    return out
+        g[i, i] += 1.0
+    out = g[:, 0] * wt[0]
+    term = np.empty_like(out)
+    for j in range(1, n):
+        out += np.multiply(g[:, j], wt[j], out=term)
+    return out.T
 
 
 def rapidity_norm_unchecked(v):

@@ -17,9 +17,10 @@ BOUNDARY_GUARD = 1e-12
 SAMPLE_RADIUS_CAP = 0.95
 
 # Trailing axes shorter than this are summed coordinate by coordinate (dot),
-# rotated by per-pair n x n matrices (mobius_gyr) and filled one coordinate
-# plane at a time (coordinate_planes); from about 8 on, O(n) work on the
-# whole trailing axis wins.  On float64 probe blocks the plane-wise
+# rotated by per-pair n x n operators built and applied entry by entry with
+# elementwise ufuncs, no BLAS (mobius_gyr), and filled one coordinate plane
+# at a time (coordinate_planes); from about 8 on, O(n) work on the whole
+# trailing axis wins.  On float64 probe blocks the plane-wise
 # additions took 0.5-0.9x the time of the whole-axis form at n = 2-4 and
 # 1.3-1.5x at n = 8, 4-5x at 16 and 64 (numpy 2.4, x86-64).
 SHORT_AXIS = 8

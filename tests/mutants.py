@@ -92,6 +92,15 @@ MUTANTS = [
      "return ssq, 1.0 - dot(u, u), 1.0 - dot(v, v)",
      "return dot(u, u) + 2.0 * dot(u, v) + dot(v, v), 1.0 - dot(u, u), 1.0 - dot(v, v)",
      KILLED),
+    # The Mobius gyration: elementwise operator entries below SHORT_AXIS,
+    # the vector form from SHORT_AXIS on.  With -c, each g_ij takes the
+    # value of g_ji, the transposed entry, so the kernel rotates backwards.
+    ("gyration-applies-its-transpose",
+     "g *= ssq + pu + pv", "g *= -(ssq + pu + pv)", KILLED),
+    ("gyration-drops-the-LL-term",
+     "g += ll", "pass", KILLED),
+    ("long-axis-gyration-sign-flip",
+     "return w + ((ssq + pu + pv) * lw", "return w - ((ssq + pu + pv) * lw", KILLED),
 ]
 
 

@@ -24,6 +24,8 @@ from gyroball import (
     sample_ball_points,
 )
 from gyroball.disk import rotation_gyr
+from gyroball.einstein import einstein_gyr
+from gyroball.mobius import mobius_gyr
 from gyroball.vectors import dot
 
 
@@ -337,6 +339,78 @@ def test_addition_equals_its_expression_form(add, expression, dtypes):
         for u, v in _operand_shapes(rng, dim, dtypes):
             got, want = add(u, v), expression(u, v)
             _assert_same_bits(got, want)
+
+
+def _mobius_gyr_expression(u, v, w):
+    """The gyration operator as per-row n x n matrices, each entry summed in
+    index order, with no BLAS: the arithmetic mobius_gyr must keep below
+    SHORT_AXIS."""
+    n = u.shape[-1]
+    s = u + v
+    ssq = dot(s, s)[..., None, None]
+    pu, pv = 1.0 - dot(u, u)[..., None, None], 1.0 - dot(v, v)[..., None, None]
+    lm = u[..., :, None] * v[..., None, :] - v[..., :, None] * u[..., None, :]
+    ll = lm[..., :, 0, None] * lm[..., None, 0, :]
+    for k in range(1, n):
+        ll = ll + lm[..., :, k, None] * lm[..., None, k, :]
+    g = ((ssq + pu + pv) * lm + 2.0 * ll) / (ssq + pu * pv)
+    for i in range(n):
+        g[..., i, i] += 1.0
+    out = g[..., :, 0] * w[..., None, 0]
+    for j in range(1, n):
+        out = out + g[..., :, j] * w[..., None, j]
+    return out
+
+
+def _gyration_operands(rng, dim):
+    """(u, v, w) triples as the probe checks and the whole-sample checks meet
+    gyrations: probe blocks (B, 1, n) x (B, 1, n) against probes (1, P, n) or
+    a block-sized w, flat batches, single points and a w with more leading
+    axes than u and v, then pairs of points with coordinates in
+    {-0.0, 0.0, 0.25, -0.3}, rotating w of either sign of zero."""
+    a, b, c = (sample_ball_points(dim, 40, rng) for _ in range(3))
+    x = sample_ball_points(dim, 8, rng)
+    grid = rng.choice([-0.0, 0.0, 0.25, -0.3], size=(2, 60, dim))
+    block_w = sample_ball_points(dim, 320, rng).reshape(40, 8, dim)
+    return [(a[:, None], b[:, None], x[None]), (a[:, None], b[:, None], block_w),
+            (a, b, c), (a[0], b[0], c[0]), (a[0], b[:8], c[:32].reshape(4, 8, dim)),
+            (grid[0][:, None], grid[1][None, :8], -grid[0][None, :8]),
+            (grid[0], grid[1], grid[1][::-1])]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7])
+def test_gyration_equals_its_expression_form(dim):
+    # Below SHORT_AXIS (8) every entry of the operator and of its product
+    # with w is an elementwise pass in a fixed order, so the bits are those
+    # of the matrix expression on every layout, signed zeros included, and
+    # no BLAS kernel (FMA or not) can move them.  Einstein gyrations are
+    # Mobius gyrations of phi_inv u, phi_inv v.
+    rng = make_rng(40 + dim)
+    for u, v, w in _gyration_operands(rng, dim):
+        _assert_same_bits(mobius_gyr(u, v, w), _mobius_gyr_expression(u, v, w))
+        _assert_same_bits(einstein_gyr(u, v, w),
+                          _mobius_gyr_expression(phi_inv(u), phi_inv(v), w))
+
+
+def _phi_expression(v):
+    return 2.0 * v / (1.0 + dot(v, v)[..., None])
+
+
+def _phi_inv_expression(w):
+    return w / (1.0 + np.sqrt(1.0 - dot(w, w)[..., None]))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 7, 8, 64])
+def test_phi_and_phi_inv_equal_their_expression_forms(dim):
+    # Filled one coordinate plane at a time below SHORT_AXIS, with the
+    # operations of the expressions in the same order.
+    rng = make_rng(30 + dim)
+    points = sample_ball_points(dim, 50, rng)
+    zeros = rng.choice([-0.0, 0.0, 0.25, -0.3], size=(50, dim)) / np.sqrt(dim)
+    block = sample_ball_points(dim, 400, rng).reshape(50, 8, dim)
+    for v in (points, block, points[0], zeros):
+        _assert_same_bits(phi(v), _phi_expression(v))
+        _assert_same_bits(phi_inv(v), _phi_inv_expression(v))
 
 
 # Reference forms of the disk kernels: complex products, conjugates and

@@ -189,6 +189,26 @@ def test_no_module_names_longdouble():
     assert not found, found
 
 
+def test_no_module_calls_blas():
+    # Reports are byte-identical across CPUs: BLAS picks its kernel by CPU
+    # (with or without FMA), so no kernel may go through it.  The einsum of
+    # vectors.dot, from dim 8 on, runs numpy's own loop.
+    blas = {"matmul", "dot", "vdot", "inner", "tensordot", "linalg"}
+    found = []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno}: @")
+            elif isinstance(node, ast.Attribute) and node.attr in blas:
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = getattr(node, "module", None) or ""
+                found += [f"{path.name}:{node.lineno}: import {a.name}" for a in node.names
+                          if "linalg" in f"{module}.{a.name}"
+                          or (module.startswith("numpy") and a.name in blas)]
+    assert not found, found
+
+
 def test_all_lists_every_name_the_package_binds():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     bound = set()
