@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .mobius import rapidity_norm_unchecked
+from .vectors import planar_empty
 
 
 def _one_plus_conj_times(a, b):
@@ -26,11 +27,11 @@ def _one_plus_conj_times(a, b):
 
 def _quotient(n, d):
     """(n0 + i n1) / (d0 + i d1) for plane pairs n, d of one shape, as a new
-    (..., 2) array."""
+    coordinate-major (..., 2) array (planar_empty)."""
     (n0, n1), (d0, d1) = n, d
     den = d0 * d0
     den += d1 * d1
-    out = np.empty(np.shape(d0) + (2,))
+    out = planar_empty(np.shape(d0) + (2,))
     re, im = out[..., 0], out[..., 1]
     np.multiply(n0, d0, out=re)
     re += n1 * d1
@@ -60,7 +61,7 @@ def rotation_gyr(a, b, w):
     """Closed-form disk gyration: multiplication by the rotation factor."""
     f = cmobius_gyr_factor(a, b)
     w = np.asarray(w, dtype=float)
-    out = np.empty(np.broadcast_shapes(f.shape, w.shape))
+    out = planar_empty(np.broadcast_shapes(f.shape, w.shape))
     re, im = out[..., 0], out[..., 1]
     np.multiply(f[..., 0], w[..., 0], out=re)
     re -= f[..., 1] * w[..., 1]

@@ -11,7 +11,7 @@ gyronorms and metrics on it, behind the model's point check
 
 import numpy as np
 
-from .vectors import SHORT_AXIS, coordinate_planes, dot, euclidean_norm
+from .vectors import SHORT_AXIS, TO_BACK, TO_FRONT, coordinate_planes, dot, euclidean_norm
 
 
 def _rim_terms(u, v):
@@ -99,10 +99,11 @@ def mobius_gyr(u, v, w):
     v_i u_j, (LL)_ij = sum_k L_ik L_kj summed in k order, g_ij = (c L_ij +
     2 (LL)_ij) / D with 1 added to each g_ii, and out_i = sum_j g_ij w_j
     summed in j order.  LL, unlike its expanded form, vanishes with L; in
-    dim 1, L = 0.  The entries are stacked as (n, n, *lead) from contiguous
-    coordinate planes with the leading axes reversed (.T), so that each
-    ufunc call covers every entry and numpy's inner loop runs along the
-    pairs.
+    dim 1, L = 0.  The entries are stacked as (n, n, *lead) from coordinate
+    planes taken as views, the trailing axis moved first (contiguous for
+    coordinate-major operands), so that each ufunc call covers every entry,
+    and the result is the coordinate-major view of the C-ordered (n, *lead)
+    stack.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -113,12 +114,12 @@ def mobius_gyr(u, v, w):
         lw = dot(v, w)[..., None] * u - dot(u, w)[..., None] * v
         llw = dot(v, lw)[..., None] * u - dot(u, lw)[..., None] * v
         return w + ((ssq + pu + pv) * lw + 2.0 * llw) / (ssq + pu * pv)
-    # One number of axes for all three, so that the reversed leading axes
-    # broadcast as the leading axes do.
+    # One number of axes for all three, so that the leading axes broadcast
+    # behind the coordinate axis moved first.
     nd = max(u.ndim, v.ndim, w.ndim)
     u, v, w = (x.reshape((1,) * (nd - x.ndim) + x.shape) for x in (u, v, w))
-    ssq, pu, pv = (x.T for x in _rim_terms(u, v))
-    ut, vt, wt = (np.ascontiguousarray(x.T) for x in (u, v, w))
+    ssq, pu, pv = _rim_terms(u, v)
+    ut, vt, wt = (x.transpose(TO_FRONT[nd]) for x in (u, v, w))
     g = ut[:, None] * vt[None]
     g -= vt[:, None] * ut[None]
     ll = g[:, 0, None] * g[None, 0]
@@ -131,11 +132,14 @@ def mobius_gyr(u, v, w):
     g /= ssq + pu * pv
     for i in range(n):
         g[i, i] += 1.0
-    out = g[:, 0] * wt[0]
+    # In C order whatever the strides of w, so the planes of the result are
+    # contiguous.
+    out = np.empty(np.broadcast_shapes(g[:, 0].shape, wt[0].shape))
+    np.multiply(g[:, 0], wt[0], out=out)
     term = np.empty_like(out)
     for j in range(1, n):
         out += np.multiply(g[:, j], wt[j], out=term)
-    return out.T
+    return out.transpose(TO_BACK[nd])
 
 
 def rapidity_norm_unchecked(v):

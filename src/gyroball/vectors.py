@@ -22,7 +22,10 @@ SAMPLE_RADIUS_CAP = 0.95
 # at a time (coordinate_planes); from about 8 on, O(n) work on the whole
 # trailing axis wins.  On float64 probe blocks the plane-wise
 # additions took 0.5-0.9x the time of the whole-axis form at n = 2-4 and
-# 1.3-1.5x at n = 8, 4-5x at 16 and 64 (numpy 2.4, x86-64).
+# 1.3-1.5x at n = 8, 4-5x at 16 and 64 (numpy 2.4, x86-64).  Below it, point
+# batches are stored coordinate-major (planar_empty), so every plane those
+# passes read or write is contiguous; from it on they stay in C order, as
+# einsum's summation order there depends on the layout.
 SHORT_AXIS = 8
 
 # Values a and b agree when |a - b| <= DEFAULT_ATOL + DEFAULT_RTOL * max(|a|, |b|)
@@ -48,17 +51,33 @@ def dot(u, v):
     return s
 
 
+# The axis orders that move the trailing axis of a k-axis array to the front
+# (TO_FRONT[k]) and back (TO_BACK[k]).
+TO_FRONT = [(k - 1, *range(k - 1)) for k in range(65)]
+TO_BACK = [(*range(1, k), 0) for k in range(65)]
+
+
+def planar_empty(shape):
+    """A new float array of ``shape`` (..., n), coordinate-major below
+    SHORT_AXIS, so that each plane out[..., j] is contiguous, and in C order
+    from it on."""
+    if shape[-1] >= SHORT_AXIS:
+        return np.empty(shape)
+    return np.empty(shape[-1:] + shape[:-1]).transpose(TO_BACK[len(shape)])
+
+
 def coordinate_planes(u, v, *coefs):
     """A new float array ``out`` of the broadcast shape of u and v, which
     share their trailing length n, and the slabs a kernel fills in place:
     tuples (out slab, u slab, v slab, *coefficients) of per-row coefficient
     planes ``coefs``.  Below SHORT_AXIS the slabs are the coordinate planes
     out[..., j], u[..., j] and v[..., j], so numpy never broadcasts a (..., 1)
-    column over an axis only n long; from SHORT_AXIS on there is one slab,
-    the whole arrays with columns c[..., None], since a loop over strided
-    planes is slower there.  Each entry gets the same operations either way,
-    so the bits do not depend on the split."""
-    out = np.empty(np.broadcast_shapes(u.shape, v.shape))
+    column over an axis only n long, and ``out`` is coordinate-major
+    (planar_empty); from SHORT_AXIS on there is one slab, the whole arrays
+    with columns c[..., None], since a loop over strided planes is slower
+    there.  Each entry gets the same operations either way, so the bits
+    depend neither on the split nor on the strides of u and v."""
+    out = planar_empty(np.broadcast_shapes(u.shape, v.shape))
     if out.shape[-1] >= SHORT_AXIS:
         return out, [(out, u, v, *(c[..., None] for c in coefs))]
     return out, [(out[..., j], u[..., j], v[..., j], *coefs) for j in range(out.shape[-1])]
@@ -94,9 +113,13 @@ def sample_ball_points(n, count, rng, cap=SAMPLE_RADIUS_CAP):
     Direction is uniform on the sphere (normalized Gaussian deviates);
     radius is cap * u**(1/n) for u uniform in [0, 1), which is the uniform
     distribution on the capped ball.  Deterministic given the generator
-    state.
+    state.  Below SHORT_AXIS the C-ordered (count, n) draw is copied
+    coordinate-major, as planar_empty stores batches (for two axes that is
+    Fortran order), so the values and the generator stream do not change.
     """
     z = rng.standard_normal((count, n))
+    if n < SHORT_AXIS:
+        z = np.asfortranarray(z)
     lengths = np.sqrt(dot(z, z))[:, None]
     lengths[lengths == 0.0] = 1.0
     u = rng.random((count, 1))

@@ -746,6 +746,24 @@ def test_blocked_probe_checks_match_one_block(monkeypatch, suite, model, dim, pa
         assert any(i >= pairs * cfg.probes for i in rows), rows
 
 
+@pytest.mark.parametrize("model,suite,dim", [
+    *((m, s, d) for m in ("einstein", "mobius") for s in ("axioms", "table1", "homogeneity-isotropy")
+      for d in (2, 3, 7, 8)),
+    ("poincare-disk", "table1", 2)])
+def test_report_bytes_do_not_depend_on_sample_layout(monkeypatch, model, suite, dim):
+    # Below SHORT_AXIS (8) samples come back coordinate-major, and every
+    # kernel does the same elementwise operations on any strides, so
+    # C-ordered samples give the same reports, also at a tolerance that
+    # fails rows and records their values.
+    configs = (CheckConfig(samples=500), CheckConfig(samples=500, atol=1e-17, rtol=0.0))
+    want = [run_suite(model, suite, cfg, dim=dim).to_json() for cfg in configs]
+    sample = registry.sample_ball_points
+    monkeypatch.setattr(registry, "sample_ball_points",
+                        lambda *args, **kwargs: np.ascontiguousarray(sample(*args, **kwargs)))
+    assert registry.get_model(model, dim=dim).sample(make_rng(0), 5).flags.c_contiguous
+    assert [run_suite(model, suite, cfg, dim=dim).to_json() for cfg in configs] == want
+
+
 @pytest.mark.parametrize("model,dim", (("einstein", 1), ("poincare-disk", 2), ("mobius", 2),
                                        ("einstein", 3), ("mobius", 7), ("mobius", 8),
                                        ("mobius", 16), ("einstein", 64)))

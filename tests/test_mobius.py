@@ -26,7 +26,7 @@ from gyroball import (
 from gyroball.disk import rotation_gyr
 from gyroball.einstein import einstein_gyr
 from gyroball.mobius import mobius_gyr
-from gyroball.vectors import dot
+from gyroball.vectors import SHORT_AXIS, dot
 
 
 def brute_force_mobius_add(u, v):
@@ -311,13 +311,35 @@ def _assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got[real]), np.signbit(want[real]))
 
 
+def _coordinate_major(x):
+    """A copy of x whose coordinate planes x[..., j] are each contiguous."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+
+
+def _sliced(x):
+    """A copy of x that is a strided view, every other entry of every axis of
+    an array twice its size, so that neither x nor its planes are contiguous."""
+    view = np.empty(tuple(2 * k for k in x.shape), x.dtype)[(slice(None, None, 2),) * x.ndim]
+    view[...] = x
+    return view
+
+
+def _layouts(*operands):
+    """The same operands in every memory layout a kernel may meet: each one
+    C-ordered, coordinate-major, sliced, and the three mixed in turn."""
+    forms = (np.ascontiguousarray, _coordinate_major, _sliced)
+    same = [tuple(f(x) for x in operands) for f in forms]
+    return same + [tuple(forms[i % 3](x) for i, x in enumerate(operands))]
+
+
 def _operand_shapes(rng, dim, dtypes):
     """(u, v) pairs as the kernels meet them: probe blocks (50, 1, n) x
-    (1, 8, n), flat batches and single points, in the given dtypes."""
+    (1, 8, n), flat batches and single points, in the given dtypes, each in
+    every layout of _layouts."""
     u = sample_ball_points(dim, 50, rng)
     v = sample_ball_points(dim, 50, rng)
     pairs = ((u[:, None], v[None, :8]), (u, v), (u[0], v[0]))
-    return [(a.astype(dtypes[0]), b.astype(dtypes[1])) for a, b in pairs]
+    return [p for a, b in pairs for p in _layouts(a.astype(dtypes[0]), b.astype(dtypes[1]))]
 
 
 # Every kernel works in float64; test_kernels_return_float64 covers other
@@ -333,9 +355,9 @@ def test_addition_equals_its_expression_form(add, expression, dtypes):
     # The kernels fill one coordinate plane at a time below SHORT_AXIS (8)
     # and the whole array from 8 on, in place, with the operations of the
     # whole expression in the same order, so the bits must not move on
-    # either side of the split.
+    # either side of the split, nor with the operands' memory layout.
     rng = make_rng(7)
-    for dim in (3, 7, 8, 64):
+    for dim in (1, 2, 3, 4, 5, 6, 7, 8, 64):
         for u, v in _operand_shapes(rng, dim, dtypes):
             got, want = add(u, v), expression(u, v)
             _assert_same_bits(got, want)
@@ -344,11 +366,17 @@ def test_addition_equals_its_expression_form(add, expression, dtypes):
 def _mobius_gyr_expression(u, v, w):
     """The gyration operator as per-row n x n matrices, each entry summed in
     index order, with no BLAS: the arithmetic mobius_gyr must keep below
-    SHORT_AXIS."""
+    SHORT_AXIS.  From SHORT_AXIS on, the vector form w + (c Lw + 2 L(Lw)) / D
+    on the whole trailing axis."""
     n = u.shape[-1]
     s = u + v
-    ssq = dot(s, s)[..., None, None]
-    pu, pv = 1.0 - dot(u, u)[..., None, None], 1.0 - dot(v, v)[..., None, None]
+    ssq = dot(s, s)[..., None]
+    pu, pv = 1.0 - dot(u, u)[..., None], 1.0 - dot(v, v)[..., None]
+    if n >= SHORT_AXIS:
+        lw = dot(v, w)[..., None] * u - dot(u, w)[..., None] * v
+        llw = dot(v, lw)[..., None] * u - dot(u, lw)[..., None] * v
+        return w + ((ssq + pu + pv) * lw + 2.0 * llw) / (ssq + pu * pv)
+    ssq, pu, pv = ssq[..., None], pu[..., None], pv[..., None]
     lm = u[..., :, None] * v[..., None, :] - v[..., :, None] * u[..., None, :]
     ll = lm[..., :, 0, None] * lm[..., None, 0, :]
     for k in range(1, n):
@@ -367,24 +395,27 @@ def _gyration_operands(rng, dim):
     gyrations: probe blocks (B, 1, n) x (B, 1, n) against probes (1, P, n) or
     a block-sized w, flat batches, single points and a w with more leading
     axes than u and v, then pairs of points with coordinates in
-    {-0.0, 0.0, 0.25, -0.3}, rotating w of either sign of zero."""
+    {-0.0, 0.0, 0.25, -0.3} (scaled into the ball from dim 8 on), rotating w
+    of either sign of zero; each in every layout of _layouts."""
     a, b, c = (sample_ball_points(dim, 40, rng) for _ in range(3))
     x = sample_ball_points(dim, 8, rng)
-    grid = rng.choice([-0.0, 0.0, 0.25, -0.3], size=(2, 60, dim))
+    grid = rng.choice([-0.0, 0.0, 0.25, -0.3], size=(2, 60, dim)) / max(1.0, np.sqrt(dim / 7))
     block_w = sample_ball_points(dim, 320, rng).reshape(40, 8, dim)
-    return [(a[:, None], b[:, None], x[None]), (a[:, None], b[:, None], block_w),
-            (a, b, c), (a[0], b[0], c[0]), (a[0], b[:8], c[:32].reshape(4, 8, dim)),
-            (grid[0][:, None], grid[1][None, :8], -grid[0][None, :8]),
-            (grid[0], grid[1], grid[1][::-1])]
+    triples = [(a[:, None], b[:, None], x[None]), (a[:, None], b[:, None], block_w),
+               (a, b, c), (a[0], b[0], c[0]), (a[0], b[:8], c[:32].reshape(4, 8, dim)),
+               (grid[0][:, None], grid[1][None, :8], -grid[0][None, :8]),
+               (grid[0], grid[1], grid[1][::-1])]
+    return [t for triple in triples for t in _layouts(*triple)]
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 64])
 def test_gyration_equals_its_expression_form(dim):
     # Below SHORT_AXIS (8) every entry of the operator and of its product
     # with w is an elementwise pass in a fixed order, so the bits are those
     # of the matrix expression on every layout, signed zeros included, and
-    # no BLAS kernel (FMA or not) can move them.  Einstein gyrations are
-    # Mobius gyrations of phi_inv u, phi_inv v.
+    # no BLAS kernel (FMA or not) can move them.  From 8 on they are those
+    # of the vector form.  Einstein gyrations are Mobius gyrations of
+    # phi_inv u, phi_inv v.
     rng = make_rng(40 + dim)
     for u, v, w in _gyration_operands(rng, dim):
         _assert_same_bits(mobius_gyr(u, v, w), _mobius_gyr_expression(u, v, w))
@@ -408,9 +439,10 @@ def test_phi_and_phi_inv_equal_their_expression_forms(dim):
     points = sample_ball_points(dim, 50, rng)
     zeros = rng.choice([-0.0, 0.0, 0.25, -0.3], size=(50, dim)) / np.sqrt(dim)
     block = sample_ball_points(dim, 400, rng).reshape(50, 8, dim)
-    for v in (points, block, points[0], zeros):
-        _assert_same_bits(phi(v), _phi_expression(v))
-        _assert_same_bits(phi_inv(v), _phi_inv_expression(v))
+    for x in (points, block, points[0], zeros):
+        for (v,) in _layouts(x):
+            _assert_same_bits(phi(v), _phi_expression(v))
+            _assert_same_bits(phi_inv(v), _phi_inv_expression(v))
 
 
 # Reference forms of the disk kernels: complex products, conjugates and
@@ -455,13 +487,41 @@ def _signed_zero_pairs():
 def test_disk_kernels_equal_their_stacked_forms(dtypes):
     pairs = _operand_shapes(make_rng(8), 2, dtypes)
     zeros = _signed_zero_pairs()
-    pairs.append((zeros[0].astype(dtypes[0]), zeros[1].astype(dtypes[1])))
-    for a, b in pairs:
+    pairs += _layouts(zeros[0].astype(dtypes[0]), zeros[1].astype(dtypes[1]))
+    grid_w = _layouts(zeros[1].astype(dtypes[1])[:, None, None])
+    for k, (a, b) in enumerate(pairs):
         _assert_same_bits(cmobius_add(a, b), _cmobius_add_expression(a, b))
         _assert_same_bits(cmobius_gyr_factor(a, b), _cmobius_gyr_factor_expression(a, b))
-        # Rotate b's points, and the signed-zero grid, by gyr[a, b].
-        for w in (b, zeros[1].astype(dtypes[1])[:, None, None]):
+        # Rotate b's points, and the signed-zero grid in each layout in turn,
+        # by gyr[a, b].
+        for w in (b, grid_w[k % len(grid_w)][0]):
             _assert_same_bits(rotation_gyr(a, b, w), _rotation_gyr_expression(a, b, w))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+def test_kernels_return_coordinate_major_batches_below_short_axis(dim):
+    # Below SHORT_AXIS (8) the next kernel reads a batch one coordinate plane
+    # at a time, so every plane out[..., j] it gets from sampling or from a
+    # kernel must be contiguous, for sampled and for C-ordered operands;
+    # from 8 on, where the kernels work on the whole trailing axis, the
+    # batch must be in C order.
+    rng = make_rng(20 + dim)
+    a, b, c = (sample_ball_points(dim, 40, rng) for _ in range(3))
+    probes = sample_ball_points(dim, 8, rng)
+    batches = [a, probes]
+    for form in (np.asarray, np.ascontiguousarray):
+        for u, v, w in ((a[:, None], b[:, None], probes[None]), (a, b, c), (a[0], b[:8], c[:8])):
+            u, v, w = form(u), form(v), form(w)
+            batches += [mobius_add(u, v), einstein_add(u, v), phi(v), phi_inv(v),
+                        mobius_gyr(u, v, w), einstein_gyr(u, v, w)]
+            if dim == 2:
+                batches += [cmobius_add(u, v), cmobius_gyr_factor(u, v), rotation_gyr(u, v, w)]
+    for out in batches:
+        assert out.shape[-1] == dim and out.ndim >= 2
+        if dim < SHORT_AXIS:
+            assert all(out[..., j].flags.c_contiguous for j in range(dim))
+        else:
+            assert out.flags.c_contiguous
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.longdouble, np.int64])
