@@ -11,7 +11,7 @@ gyronorm_E on it.
 import numpy as np
 
 from .mobius import mobius_gyr, phi_inv, rapidity_norm_unchecked
-from .vectors import coordinate_planes, dot
+from .vectors import coordinate_views, dot
 
 
 def einstein_add(u, v):
@@ -23,13 +23,13 @@ def einstein_add(u, v):
     ip = dot(u, v)
     gamma = 1.0 / np.sqrt(1.0 - dot(u, u))
     coef = gamma / (1.0 + gamma) * ip
-    den = 1.0 + ip
-    out, slabs = coordinate_planes(u, v, gamma, coef, den)
-    for o, uj, vj, g, c, d in slabs:
-        np.divide(vj, g, out=o)
-        o += uj
-        o += c * uj
-        o /= d
+    out, o, ut, vt = coordinate_views(np.broadcast_shapes(u.shape, v.shape), u, v)
+    np.divide(vt, gamma, out=o)
+    o += ut
+    # The product takes o's layout: from SHORT_AXIS on, where out is in C
+    # order, numpy would lay it out coordinate-major, and the sum runs slower.
+    o += np.multiply(coef, ut, out=np.empty_like(o))
+    o /= 1.0 + ip
     return out
 
 

@@ -11,7 +11,7 @@ gyronorms and metrics on it, behind the model's point check
 
 import numpy as np
 
-from .vectors import SHORT_AXIS, TO_BACK, TO_FRONT, coordinate_planes, dot, euclidean_norm
+from .vectors import SHORT_AXIS, coordinate_views, dot, euclidean_norm
 
 
 def _rim_terms(u, v):
@@ -41,11 +41,10 @@ def mobius_add(u, v):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     ssq, pu, pv = _rim_terms(u, v)
-    out, slabs = coordinate_planes(u, v, ssq + pu, pu, ssq + pu * pv)
-    for o, uj, vj, a, b, d in slabs:
-        np.multiply(a, uj, out=o)
-        o += b * vj
-        o /= d
+    out, o, ut, vt = coordinate_views(np.broadcast_shapes(u.shape, v.shape), u, v)
+    np.multiply(ssq + pu, ut, out=o)
+    o += pu * vt
+    o /= ssq + pu * pv
     return out
 
 
@@ -58,10 +57,9 @@ def phi(v):
     convert`` is the checked entry point.
     """
     v = np.asarray(v, dtype=float)
-    out, slabs = coordinate_planes(v, v, 1.0 + dot(v, v))
-    for o, vj, _, d in slabs:
-        np.multiply(2.0, vj, out=o)
-        o /= d
+    out, o, vt = coordinate_views(v.shape, v)
+    np.multiply(2.0, vt, out=o)
+    o /= 1.0 + dot(v, v)
     return out
 
 
@@ -73,9 +71,8 @@ def phi_inv(w):
     An unchecked kernel, like phi: a point outside the ball gives NaN.
     """
     w = np.asarray(w, dtype=float)
-    out, slabs = coordinate_planes(w, w, 1.0 + np.sqrt(1.0 - dot(w, w)))
-    for o, wj, _, d in slabs:
-        np.divide(wj, d, out=o)
+    out, o, wt = coordinate_views(w.shape, w)
+    np.divide(wt, 1.0 + np.sqrt(1.0 - dot(w, w)), out=o)
     return out
 
 
@@ -99,11 +96,9 @@ def mobius_gyr(u, v, w):
     v_i u_j, (LL)_ij = sum_k L_ik L_kj summed in k order, g_ij = (c L_ij +
     2 (LL)_ij) / D with 1 added to each g_ii, and out_i = sum_j g_ij w_j
     summed in j order.  LL, unlike its expanded form, vanishes with L; in
-    dim 1, L = 0.  The entries are stacked as (n, n, *lead) from coordinate
-    planes taken as views, the trailing axis moved first (contiguous for
-    coordinate-major operands), so that each ufunc call covers every entry,
-    and the result is the coordinate-major view of the C-ordered (n, *lead)
-    stack.
+    dim 1, L = 0.  The entries are stacked as (n, n, *lead) from the
+    coordinate-first views of coordinate_views, so that each ufunc call
+    covers every entry, and out_i is filled in the output's own view.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -114,12 +109,9 @@ def mobius_gyr(u, v, w):
         lw = dot(v, w)[..., None] * u - dot(u, w)[..., None] * v
         llw = dot(v, lw)[..., None] * u - dot(u, lw)[..., None] * v
         return w + ((ssq + pu + pv) * lw + 2.0 * llw) / (ssq + pu * pv)
-    # One number of axes for all three, so that the leading axes broadcast
-    # behind the coordinate axis moved first.
-    nd = max(u.ndim, v.ndim, w.ndim)
-    u, v, w = (x.reshape((1,) * (nd - x.ndim) + x.shape) for x in (u, v, w))
     ssq, pu, pv = _rim_terms(u, v)
-    ut, vt, wt = (x.transpose(TO_FRONT[nd]) for x in (u, v, w))
+    out, o, ut, vt, wt = coordinate_views(np.broadcast_shapes(u.shape, v.shape, w.shape),
+                                          u, v, w)
     g = ut[:, None] * vt[None]
     g -= vt[:, None] * ut[None]
     ll = g[:, 0, None] * g[None, 0]
@@ -132,14 +124,11 @@ def mobius_gyr(u, v, w):
     g /= ssq + pu * pv
     for i in range(n):
         g[i, i] += 1.0
-    # In C order whatever the strides of w, so the planes of the result are
-    # contiguous.
-    out = np.empty(np.broadcast_shapes(g[:, 0].shape, wt[0].shape))
-    np.multiply(g[:, 0], wt[0], out=out)
-    term = np.empty_like(out)
+    np.multiply(g[:, 0], wt[0], out=o)
+    term = np.empty_like(o)
     for j in range(1, n):
-        out += np.multiply(g[:, j], wt[j], out=term)
-    return out.transpose(TO_BACK[nd])
+        o += np.multiply(g[:, j], wt[j], out=term)
+    return out
 
 
 def rapidity_norm_unchecked(v):

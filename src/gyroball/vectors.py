@@ -16,13 +16,10 @@ BOUNDARY_GUARD = 1e-12
 # covers all formulas; rim behavior gets dedicated directed tests.
 SAMPLE_RADIUS_CAP = 0.95
 
-# Trailing axes shorter than this are summed coordinate by coordinate (dot),
-# rotated by per-pair n x n operators built and applied entry by entry with
-# elementwise ufuncs, no BLAS (mobius_gyr), and filled one coordinate plane
-# at a time (coordinate_planes); from about 8 on, O(n) work on the whole
-# trailing axis wins.  On float64 probe blocks the plane-wise
-# additions took 0.5-0.9x the time of the whole-axis form at n = 2-4 and
-# 1.3-1.5x at n = 8, 4-5x at 16 and 64 (numpy 2.4, x86-64).  Below it, point
+# Trailing axes shorter than this are summed coordinate by coordinate (dot,
+# mobius._rim_terms) and rotated by per-pair n x n operators built and
+# applied entry by entry with elementwise ufuncs, no BLAS (mobius_gyr); from
+# about 8 on, O(n) work on the whole trailing axis wins.  Below it, point
 # batches are stored coordinate-major (planar_empty), so every plane those
 # passes read or write is contiguous; from it on they stay in C order, as
 # einsum's summation order there depends on the layout.
@@ -66,21 +63,19 @@ def planar_empty(shape):
     return np.empty(shape[-1:] + shape[:-1]).transpose(TO_BACK[len(shape)])
 
 
-def coordinate_planes(u, v, *coefs):
-    """A new float array ``out`` of the broadcast shape of u and v, which
-    share their trailing length n, and the slabs a kernel fills in place:
-    tuples (out slab, u slab, v slab, *coefficients) of per-row coefficient
-    planes ``coefs``.  Below SHORT_AXIS the slabs are the coordinate planes
-    out[..., j], u[..., j] and v[..., j], so numpy never broadcasts a (..., 1)
-    column over an axis only n long, and ``out`` is coordinate-major
-    (planar_empty); from SHORT_AXIS on there is one slab, the whole arrays
-    with columns c[..., None], since a loop over strided planes is slower
-    there.  Each entry gets the same operations either way, so the bits
-    depend neither on the split nor on the strides of u and v."""
-    out = planar_empty(np.broadcast_shapes(u.shape, v.shape))
-    if out.shape[-1] >= SHORT_AXIS:
-        return out, [(out, u, v, *(c[..., None] for c in coefs))]
-    return out, [(out[..., j], u[..., j], v[..., j], *coefs) for j in range(out.shape[-1])]
+def coordinate_views(shape, *arrays):
+    """A new float array ``out`` of ``shape`` (..., n), laid out by
+    planar_empty, then the coordinate-first views (n, ...) of ``out`` and of
+    each of ``arrays``, every array padded first to len(shape) axes so that
+    its leading axes broadcast against out's.  A kernel fills ``out``
+    through its view with one ufunc call per operation, per-row
+    coefficients broadcasting across the coordinates.  Each entry gets the
+    same operations whatever the strides of the arrays, so the bits do not
+    depend on the layout."""
+    out = planar_empty(shape)
+    front = TO_FRONT[len(shape)]
+    return out, out.transpose(front), *[x[(None,) * (len(shape) - x.ndim)].transpose(front)
+                                        for x in arrays]
 
 
 def euclidean_norm(v):

@@ -75,19 +75,21 @@ MUTANTS = [
      "if len(dims) != 1:", "if False:", KILLED),
     ("metric-sum-unchecked",
      "row.validate(z)", "pass", KILLED),
-    # The coordinate-plane kernels must keep the bits of their reference
-    # expressions in the tests, signed zeros included.
+    # The disk's coordinate-plane kernels must keep the bits of their
+    # reference expressions in the tests, signed zeros included.
     ("disk-keeps-negative-zero-im",
      "im += 0.0", "pass", KILLED),
-    ("plane-loop-skips-last-coordinate",
-     "for j in range(out.shape[-1])]", "for j in range(out.shape[-1] - 1)]", KILLED),
     ("disk-quotient-by-reciprocal",
      "re /= den", "re *= 1.0 / den", KILLED),
+    # The kernels' coordinate-first views, each operand padded to the
+    # output's number of axes, so that a point broadcasts against a batch.
+    ("views-left-unpadded",
+     "x[(None,) * (len(shape) - x.ndim)].transpose(front)", "x.transpose(TO_FRONT[x.ndim])",
+     KILLED),
     # The Mobius rim terms: sums of nonnegative terms, which the addition's
     # expression form and the oracle tests pin.
     ("mobius-add-cancelling-denominator",
-     "ssq + pu, pu, ssq + pu * pv)",
-     "ssq + pu, pu, 1.0 + 2.0 * dot(u, v) + dot(u, u) * dot(v, v))", KILLED),
+     "o /= ssq + pu * pv", "o /= 1.0 + 2.0 * dot(u, v) + dot(u, u) * dot(v, v)", KILLED),
     ("sum-square-expanded",
      "return ssq, 1.0 - dot(u, u), 1.0 - dot(v, v)",
      "return dot(u, u) + 2.0 * dot(u, v) + dot(v, v), 1.0 - dot(u, u), 1.0 - dot(v, v)",

@@ -764,6 +764,35 @@ def test_report_bytes_do_not_depend_on_sample_layout(monkeypatch, model, suite, 
     assert [run_suite(model, suite, cfg, dim=dim).to_json() for cfg in configs] == want
 
 
+def _rim_points(n, count, rng):
+    """Points whose distance 1 - |z| to the rim is log-uniform in
+    [1e-3, 1e-1], in uniformly random directions (normalized Gaussian
+    deviates)."""
+    z = rng.standard_normal((count, n))
+    z /= euclidean_norm(z)[:, None]
+    z *= 1.0 - 10.0 ** rng.uniform(-3.0, -1.0, (count, 1))
+    return z
+
+
+@pytest.mark.parametrize("model,dim", [*((m, d) for m in ("mobius", "einstein")
+                                         for d in (2, 3, 5, 16)), ("poincare-disk", 2)])
+def test_suites_pass_on_the_rim_stratum(monkeypatch, model, dim):
+    # Samples 1e-3 to 1e-1 from the rim, where 1 - |u|^2 is small and a
+    # denominator that cancels terms of size 1 loses its digits, so a kernel
+    # wrong only near the rim fails here.  The tolerance is 1e-6, as one ulp
+    # of a coordinate is worth up to eps / (1 - |z|) of rapidity there.
+    monkeypatch.setattr(registry, "sample_ball_points", _rim_points)
+    cfg = CheckConfig(samples=2000, seed=7, atol=1e-6, rtol=1e-6)
+    failed = {}
+    for suite in ("axioms", "table1", "gyronorm", "left-invariance", "isometry",
+                  "homogeneity-isotropy"):
+        names = [p.name for p in run_suite(model, suite, cfg, dim=dim).properties
+                 if p.status == "fail"]
+        if names:
+            failed[suite] = names
+    assert not failed, failed
+
+
 @pytest.mark.parametrize("model,dim", (("einstein", 1), ("poincare-disk", 2), ("mobius", 2),
                                        ("einstein", 3), ("mobius", 7), ("mobius", 8),
                                        ("mobius", 16), ("einstein", 64)))

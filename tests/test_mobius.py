@@ -334,11 +334,14 @@ def _layouts(*operands):
 
 def _operand_shapes(rng, dim, dtypes):
     """(u, v) pairs as the kernels meet them: probe blocks (50, 1, n) x
-    (1, 8, n), flat batches and single points, in the given dtypes, each in
-    every layout of _layouts."""
+    (1, 8, n), flat batches and single points, then operands of unequal
+    ndim, as in ``m.add(m.identity, a)``: a single point against a flat
+    batch and against a (50, 1, n) block, and a flat batch against a single
+    point; in the given dtypes, each in every layout of _layouts."""
     u = sample_ball_points(dim, 50, rng)
     v = sample_ball_points(dim, 50, rng)
-    pairs = ((u[:, None], v[None, :8]), (u, v), (u[0], v[0]))
+    pairs = ((u[:, None], v[None, :8]), (u, v), (u[0], v[0]),
+             (u[0], v), (v[1], u[:, None]), (u, v[2]))
     return [p for a, b in pairs for p in _layouts(a.astype(dtypes[0]), b.astype(dtypes[1]))]
 
 
@@ -352,10 +355,10 @@ DTYPE_MIXES = [(np.float64, np.float64)]
                          ids=["einstein", "mobius"])
 @pytest.mark.parametrize("dtypes", DTYPE_MIXES)
 def test_addition_equals_its_expression_form(add, expression, dtypes):
-    # The kernels fill one coordinate plane at a time below SHORT_AXIS (8)
-    # and the whole array from 8 on, in place, with the operations of the
-    # whole expression in the same order, so the bits must not move on
-    # either side of the split, nor with the operands' memory layout.
+    # The kernels fill a coordinate-major output below SHORT_AXIS (8) and a
+    # C-ordered one from 8 on, in place, with the operations of the whole
+    # expression in the same order, so the bits must not move on either
+    # side of the split, nor with the operands' memory layout or ndim.
     rng = make_rng(7)
     for dim in (1, 2, 3, 4, 5, 6, 7, 8, 64):
         for u, v in _operand_shapes(rng, dim, dtypes):
@@ -433,8 +436,8 @@ def _phi_inv_expression(w):
 
 @pytest.mark.parametrize("dim", [1, 3, 7, 8, 64])
 def test_phi_and_phi_inv_equal_their_expression_forms(dim):
-    # Filled one coordinate plane at a time below SHORT_AXIS, with the
-    # operations of the expressions in the same order.
+    # Filled in place through coordinate-first views, with the operations
+    # of the expressions in the same order.
     rng = make_rng(30 + dim)
     points = sample_ball_points(dim, 50, rng)
     zeros = rng.choice([-0.0, 0.0, 0.25, -0.3], size=(50, dim)) / np.sqrt(dim)

@@ -209,6 +209,22 @@ def test_no_module_calls_blas():
     assert not found, found
 
 
+def test_only_vectors_knows_the_layout():
+    # One module decides how point batches are laid out (planar_empty) and
+    # hands the kernels their coordinate-first views (coordinate_views); no
+    # other module moves axes or reorders memory by itself.
+    layout = {"TO_FRONT", "TO_BACK", "transpose", "moveaxis", "asfortranarray"}
+    found = []
+    for path, tree in _modules():
+        if path.name == "vectors.py":
+            continue
+        for node in ast.walk(tree):
+            name = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+            if name and getattr(node, name) in layout:
+                found.append(f"{path.name}:{node.lineno} {getattr(node, name)}")
+    assert not found, found
+
+
 def test_all_lists_every_name_the_package_binds():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     bound = set()
