@@ -216,11 +216,12 @@ def group_add(a, b):
 
 
 def group_gyr(a, b, c):
-    """Every gyration of a group is the identity map."""
+    """Every gyration of a group is the identity map: c broadcast against a
+    and b, as a read-only view."""
     return np.broadcast_to(
         np.asarray(c, dtype=float),
         np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c)),
-    ).copy()
+    )
 
 
 def double(v):

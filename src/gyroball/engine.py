@@ -214,10 +214,13 @@ class _SuiteRun:
         lead = shape[:max(1, len(shape) - 1)]
         by_row = len(shape) > len(lead)
 
-        def row(v, i):
-            # Row i of v broadcast against the leading axes.
+        def row(v, at):
+            # The row at index ``at`` of v broadcast against the leading axes;
+            # an array that has those axes already is indexed in place.
             v = np.asarray(v)
-            return np.broadcast_to(v, lead + v.shape[len(lead):])[np.unravel_index(i, lead)]
+            if v.shape[:len(lead)] != lead:
+                v = np.broadcast_to(v, lead + v.shape[len(lead):])
+            return v[at]
 
         with np.errstate(over="ignore", invalid="ignore"):
             err = lhs - rhs
@@ -256,14 +259,15 @@ class _SuiteRun:
         first = res.checked + res.skipped
 
         for i in fail_idx[: MAX_FAILURES - len(res.failures)]:
-            diff = row(err, i)
+            at = np.unravel_index(i, lead)
+            diff = row(err, at)
             if by_row:
                 diff = np.max(np.where(np.isfinite(diff), diff, 0.0))
             res.failures.append(Counterexample(
                 sample_index=first + int(i),
-                inputs={k: _serialize(row(v, i)) for k, v in inputs.items()},
-                lhs=_serialize(row(lhs, i)),
-                rhs=_serialize(row(rhs, i)),
+                inputs={k: _serialize(row(v, at)) for k, v in inputs.items()},
+                lhs=_serialize(row(lhs, at)),
+                rhs=_serialize(row(rhs, at)),
                 diff=float(diff),
             ))
         res.checked += int(n - skipped_rows)

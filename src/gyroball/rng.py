@@ -6,6 +6,8 @@ draws on every platform.  Reports record the seed they were produced with, so
 any counterexample can be regenerated exactly.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 

@@ -81,6 +81,8 @@ MUTANTS = [
      "im += 0.0", "pass", KILLED),
     ("disk-quotient-by-reciprocal",
      "re /= den", "re *= 1.0 / den", KILLED),
+    ("disk-factor-numerator-unconjugated",
+     "0.0 - d[1]", "d[1]", KILLED),
     # The kernels' coordinate-first views, each operand padded to the
     # output's number of axes, so that a point broadcasts against a batch.
     ("views-left-unpadded",

@@ -1,11 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gyroball
 from gyroball import phi, phi_inv
 from gyroball.cli import format_point, main, parse_point
 
@@ -14,6 +19,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # No CLI call that only adds, rotates, measures or converts draws a
+    # sample, so importing the package must not load numpy.random.  Where
+    # numpy loads it itself (numpy 1.x), there is nothing to check.
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+            "import gyroball, gyroball.cli; print(before, 'numpy.random' in sys.modules)")
+    src = str(Path(gyroball.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    if out[0] == "True":
+        pytest.skip("numpy loads numpy.random on import")
+    assert out == ["False", "False"]
 
 
 # --- parsing -----------------------------------------------------------------

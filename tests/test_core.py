@@ -72,6 +72,20 @@ def test_group_adapter_is_plain_vector_arithmetic():
     assert nm.distance([1.0, 0.0], [4.0, 4.0]) == pytest.approx(5.0)
 
 
+def test_group_gyration_is_a_read_only_view_of_c():
+    # Every gyration of a group is the identity map, so gyr[a, b]c is c
+    # itself, broadcast against a and b and not copied.
+    m = get_model("group", dim=3)
+    rng = make_rng(4)
+    a, b = m.sample(rng, 6)[:, None], m.sample(rng, 6)[:, None]
+    c = m.sample(rng, 5)[None]
+    g = m.gyr(a, b, c)
+    assert g.shape == (6, 5, 3)
+    assert np.array_equal(g, np.broadcast_to(c, g.shape))
+    assert not g.flags.writeable
+    assert np.shares_memory(g, c)
+
+
 def test_discrete_gyronorm_is_discrete_metric():
     nm = get_normed("group", dim=3, gyronorm="discrete")
     e = nm.model.identity

@@ -133,6 +133,36 @@ def test_counterexample_replay():
     assert lhs > rhs + 1e-9
 
 
+# The first witness of a falsified flat check and of a falsified probe check,
+# as the recorder wrote them when it broadcast every operand to the check's
+# leading axes: reading rows in place must keep every recorded value.
+PINNED_WITNESSES = (
+    ("klee", {}, "klee-condition", 0, {
+        "inputs": {
+            "x": [0.47917693245504644, -0.6000314844699023, 0.09816328375672098],
+            "y": [-0.8032410699459549, 0.12409575554611835, 0.35185240916012717],
+            "a": [-0.7437390387651723, 0.14988385420360228, 0.3268689223784967],
+            "b": [-0.4129223286477723, 0.20483056185824322, 0.17035186195441437]},
+        "lhs": 3.1014875052281763, "rhs": 3.050959388086507, "diff": 0.05052811714166916}),
+    ("table1", {"atol": 1e-15, "rtol": 0.0}, "composition-law", 3488, {
+        "inputs": {
+            "a": [0.18401186021471433, -0.029363287459200804, 0.7990995498071717],
+            "b": [0.4457943702871426, -0.19788106522507432, -0.5698863267743686],
+            "x": [-0.7294357441821049, 0.361837379464542, 0.30093005046361]},
+        "lhs": [0.09157449107327217, 0.23272825363733263, 0.1502034926593495],
+        "rhs": [0.09157449107327183, 0.23272825363733263, 0.15020349265935065],
+        "diff": 1.1379786002407855e-15}),
+)
+
+
+@pytest.mark.parametrize("suite,tol,name,index,witness", PINNED_WITNESSES)
+def test_recorded_witnesses_keep_their_values(suite, tol, name, index, witness):
+    report = run_suite("mobius", suite, CheckConfig(samples=200, seed=3, **tol))
+    c = next(p for p in report.properties if p.name == name).failures[0]
+    assert c.sample_index == index
+    assert c.to_dict() == witness
+
+
 def test_failure_recording_is_capped():
     report = run_suite("poincare-disk", "klee", CheckConfig(samples=5000), dim=2)
     for prop in report.properties:
