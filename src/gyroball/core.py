@@ -31,7 +31,11 @@ class GyrogroupModel:
     broadcast over the leading axes, so the engine can evaluate whole sample
     batches at once: the probe checks pass blocks of (a, b) pairs of shape
     (B, 1, n) with probe points of shape (1, P, n) and expect (B, P, n)
-    results, row for row the bits of any other block.
+    results, row for row the bits of any other block.  The vectors that
+    ``closed_gyr`` turns may have more leading axes than a and b: the suites
+    stack the vectors that one gyrator turns, as (k, N, n) against (N, n)
+    pairs, and slice i of the result must have the bits of a call on slice
+    i alone.
     ``hom``, when present, is a pair ``(target_model, map)`` giving a
     reference gyrogroup homomorphism used by the gyration-preservation check.
     """

@@ -322,13 +322,15 @@ def suite_axioms(run):
 def suite_table1(run):
     m, cfg = run.m, run.cfg
     a, b, c = run.draw(cfg.samples), run.draw(cfg.samples), run.draw(cfg.samples)
+    ab = m.add(a, b)
     run.equal("involution-of-inversion", {"a": a}, m.neg(m.neg(a)), a)
-    run.equal("left-cancellation", {"a": a, "b": b},
-              m.add(m.neg(a), m.add(a, b)), b)
+    run.equal("left-cancellation", {"a": a, "b": b}, m.add(m.neg(a), ab), b)
+    # gyr[a, b] turns c and (neg b) (+) (neg a) in one call, stacked; by the
+    # row contract each slice has the bits of a call of its own.
+    gc, gs = m.gyr(a, b, np.stack([c, m.add(m.neg(b), m.neg(a))]))
     run.equal("gyrator-identity", {"a": a, "b": b, "c": c},
-              m.gyr(a, b, c), gyr_via_gyrator_identity(m, a, b, c))
-    run.equal("inverse-of-sum", {"a": a, "b": b},
-              m.neg(m.add(a, b)), m.gyr(a, b, m.add(m.neg(b), m.neg(a))))
+              gc, gyr_via_gyrator_identity(m, a, b, c))
+    run.equal("inverse-of-sum", {"a": a, "b": b}, m.neg(ab), gs)
     run.equal("cancellation-chain", {"a": a, "b": b, "c": c},
               m.add(m.add(m.neg(a), b), m.gyr(m.neg(a), b, m.add(m.neg(b), c))),
               m.add(m.neg(a), c))
@@ -342,7 +344,7 @@ def suite_table1(run):
             if m.hom is not None:
                 target, f = m.hom
                 run.equal("gyration-preservation-hom", {"a": a, "b": b, "c": c},
-                          f(m.gyr(a, b, c)), target.gyr(f(a), f(b), f(c)))
+                          f(gc), target.gyr(f(a), f(b), f(c)))
             else:
                 run.skip_property("gyration-preservation-hom",
                                   "model registers no reference homomorphism")
@@ -472,8 +474,9 @@ def suite_homogeneity_isotropy(run):
     # T = L_y o L_{neg x} maps x to y and is an isometry.
     T = homogeneity_witness(m, x, y)
     run.equal("homogeneity-maps-x-to-y", {"x": x, "y": y}, apply_isometry(m, T, x), y)
+    duv = d(u, v)
     run.equal("homogeneity-witness-isometry", {"x": x, "y": y, "u": u, "v": v},
-              d(apply_isometry(m, T, u), apply_isometry(m, T, v)), d(u, v))
+              d(apply_isometry(m, T, u), apply_isometry(m, T, v)), duv)
 
     if trivial_gyrations(m.name, m.dim):
         note = ("all sampled gyrations are the identity map; "
@@ -499,11 +502,12 @@ def suite_homogeneity_isotropy(run):
         row_moved.append(moved)
     row_moved = np.concatenate(row_moved)
     # T = L_p o gyr[a, b] o L_{neg p} fixes p, is an isometry, and is not
-    # the identity map whenever the gyration moves some probe.
-    T = isotropy_spec(m, p, a, b)
-    run.equal("isotropy-fixes-p", {"p": p, "a": a, "b": b}, apply_isometry(m, T, p), p)
+    # the identity map whenever the gyration moves some probe.  It is applied
+    # once to p, u and v stacked, so one gyration turns all three.
+    tp, tu, tv = apply_isometry(m, isotropy_spec(m, p, a, b), np.stack([p, u, v]))
+    run.equal("isotropy-fixes-p", {"p": p, "a": a, "b": b}, tp, p)
     run.equal("isotropy-witness-isometry", {"p": p, "a": a, "b": b, "u": u, "v": v},
-              d(apply_isometry(m, T, u), apply_isometry(m, T, v)), d(u, v))
+              d(tu, tv), duv)
     run.equal("isotropy-moves-a-probe", {"a": a, "b": b},
               row_moved.astype(float), np.ones(cfg.samples),
               note="1.0 means gyr[a, b] moved at least one probe point")

@@ -99,6 +99,15 @@ def mobius_gyr(u, v, w):
     dim 1, L = 0.  The entries are stacked as (n, n, *lead) from the
     coordinate-first views of coordinate_views, so that each ufunc call
     covers every entry, and out_i is filled in the output's own view.
+
+    g is applied on whole planes of the output's shape, one column g_:j at a
+    time.  In a probe block, (B, 1) entries meet (1, P) probes, and a ufunc
+    that broadcast them would loop over only P elements at a time.  So each
+    column, and w where it broadcasts, is first spread into an
+    output-shaped buffer with np.copyto, which broadcasts about 3x faster,
+    and multiplied there in place.  Flat batches, and one gyrator against a
+    batch, multiply directly.  Each product is g_ij w_j either way, so the
+    bits are the same.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -124,10 +133,22 @@ def mobius_gyr(u, v, w):
     g /= ssq + pu * pv
     for i in range(n):
         g[i, i] += 1.0
-    np.multiply(g[:, 0], wt[0], out=o)
+    # (B, 1) entries against (B, P) or (1, P) planes: a probe block.
+    spread = o.ndim > 2 and g.shape[-1] != o.shape[-1]
+    if spread and wt.shape != o.shape:
+        ws = np.empty_like(o)
+        np.copyto(ws, wt)
+        wt = ws
     term = np.empty_like(o)
-    for j in range(1, n):
-        o += np.multiply(g[:, j], wt[j], out=term)
+    for j in range(n):
+        t = term if j else o
+        if spread:
+            np.copyto(t, g[:, j])
+            t *= wt[j]
+        else:
+            np.multiply(g[:, j], wt[j], out=t)
+        if j:
+            o += t
     return out
 
 

@@ -105,6 +105,13 @@ MUTANTS = [
      "g += ll", "pass", KILLED),
     ("long-axis-gyration-sign-flip",
      "return w + ((ssq + pu + pv) * lw", "return w - ((ssq + pu + pv) * lw", KILLED),
+    # A probe block's operator columns, spread into output-shaped planes
+    # before they multiply w.
+    ("spread-products-read-w0",
+     "t *= wt[j]", "t *= wt[0]", KILLED),
+    # table1 turns c and (neg b) (+) (neg a) by one stacked gyration.
+    ("shared-gyration-slices-swapped",
+     "gc, gs = m.gyr(", "gs, gc = m.gyr(", KILLED),
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from gyroball import (
     CheckConfig,
+    apply_isometry,
     Gyration,
     GyrogroupModel,
     GyronormedModel,
@@ -23,7 +24,7 @@ from gyroball import (
     sample_ball_points,
 )
 from gyroball import cli, registry
-from gyroball.core import gyr_via_gyrator_identity
+from gyroball.core import gyr_via_gyrator_identity, isotropy_spec
 from gyroball.engine import BLOCK_ELEMENTS, MAX_FAILURES, _SuiteRun
 from gyroball.rng import make_rng
 
@@ -670,6 +671,58 @@ def test_gyration_rows_keep_their_bits_when_probes_are_rolled_or_sliced(model, d
     assert np.array_equal(m.gyr(aP, bP, xP[:, :1]), full[:, :1])
     k = make_rng(18).random(50) < 0.3
     assert np.array_equal(m.gyr(aP[k], bP[k], xP[:, 1:]), full[k][:, 1:])
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("model,dim", [(m, d) for m in registry.MODEL_NAMES
+                                       for d in ((2,) if m in registry.COMPLEX_MODELS
+                                                 else (1, 2, 3, 7, 8, 16))])
+def test_stacked_vectors_keep_the_bits_of_their_own_calls(model, dim):
+    # The row contract that table1 and homogeneity-isotropy rely on when
+    # they stack the vectors that one gyrator turns: w may have more leading
+    # axes than a and b, and each slice has the bits of a call of its own.
+    m = get_normed(model, dim=dim).model
+    rng = make_rng(19)
+    a, b, c, d, p, u, v = (m.sample(rng, 60) for _ in range(7))
+    stacked = m.gyr(a, b, np.stack([c, d]))
+    for k, w in enumerate((c, d)):
+        _assert_same_bits(stacked[k], m.gyr(a, b, w))
+    spec = isotropy_spec(m, p, a, b)
+    stacked = apply_isometry(m, spec, np.stack([p, u, v]))
+    for k, w in enumerate((p, u, v)):
+        _assert_same_bits(stacked[k], apply_isometry(m, spec, w))
+
+
+@pytest.mark.parametrize("model,dim", [*((m, d) for m in ("einstein", "mobius")
+                                         for d in (2, 3, 5, 16)), ("poincare-disk", 2)])
+@pytest.mark.parametrize("suite", ("table1", "homogeneity-isotropy"))
+def test_a_shared_gyration_moves_no_report_byte(monkeypatch, suite, model, dim):
+    # The suites turn several vectors by one gyration, stacked on a new
+    # leading axis.  A gyration that turns each slice in a call of its own
+    # must give the same reports, also at a tolerance that fails rows and
+    # records their values.
+    configs = (CheckConfig(samples=500), CheckConfig(samples=500, atol=1e-17, rtol=0.0))
+    want = [run_suite(model, suite, cfg, dim=dim).to_json() for cfg in configs]
+    nm = get_normed(model, dim=dim)
+    m = nm.model
+    splits = []
+
+    def gyr(a, b, w):
+        w = np.asarray(w, dtype=float)
+        if w.ndim > max(np.ndim(a), np.ndim(b)):
+            splits.append(len(w))
+            return np.stack([gyr(a, b, x) for x in w])
+        return m.closed_gyr(a, b, w)
+
+    nm = dataclasses.replace(nm, model=dataclasses.replace(m, closed_gyr=gyr))
+    monkeypatch.setattr("gyroball.engine.get_normed",
+                        lambda name, dim=None, gyronorm=None: nm)
+    assert [run_suite(model, suite, cfg, dim=dim).to_json() for cfg in configs] == want
+    assert splits
 
 
 def _isotropy_row_moved(monkeypatch, fixed):
