@@ -28,7 +28,7 @@ def einstein_add(u, v):
     o += ut
     # The product takes o's layout: from SHORT_AXIS on, where out is in C
     # order, numpy would lay it out coordinate-major, and the sum runs slower.
-    o += np.multiply(coef, ut, out=np.empty_like(o))
+    o += np.multiply(coef, ut, out=coordinate_views(out.shape)[1])
     o /= 1.0 + ip
     return out
 

@@ -34,7 +34,7 @@ from .einstein import einstein_add
 from .errors import DomainError, SamplingHealthError, UnknownNameError
 from .registry import GYRONORMS, MODEL_NAMES, TOPOLOGY_GYRONORMS, get_normed, trivial_gyrations
 from .rng import make_rng
-from .vectors import DEFAULT_ATOL, DEFAULT_RTOL, euclidean_norm, sample_ball_points
+from .vectors import BLOCK_ELEMENTS, DEFAULT_ATOL, DEFAULT_RTOL, euclidean_norm, sample_ball_points
 
 MAX_SKIP_FRACTION = 0.01
 
@@ -47,10 +47,6 @@ ISOMETRY_STEPS = 4
 # Directions of the "norm zero implies identity" check: exact zeros are
 # measure-zero under sampling, so anything below this floor must sit at e.
 POSITIVITY_FLOOR = 1e-7
-
-# Probe checks run on blocks of pairs whose (block, P, n) arrays hold at most
-# BLOCK_ELEMENTS elements, 256 KiB of float64.
-BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)

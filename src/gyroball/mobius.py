@@ -119,8 +119,8 @@ def mobius_gyr(u, v, w):
         llw = dot(v, lw)[..., None] * u - dot(u, lw)[..., None] * v
         return w + ((ssq + pu + pv) * lw + 2.0 * llw) / (ssq + pu * pv)
     ssq, pu, pv = _rim_terms(u, v)
-    out, o, ut, vt, wt = coordinate_views(np.broadcast_shapes(u.shape, v.shape, w.shape),
-                                          u, v, w)
+    shape = np.broadcast_shapes(u.shape, v.shape, w.shape)
+    out, o, ut, vt, wt = coordinate_views(shape, u, v, w)
     g = ut[:, None] * vt[None]
     g -= vt[:, None] * ut[None]
     ll = g[:, 0, None] * g[None, 0]
@@ -136,10 +136,10 @@ def mobius_gyr(u, v, w):
     # (B, 1) entries against (B, P) or (1, P) planes: a probe block.
     spread = o.ndim > 2 and g.shape[-1] != o.shape[-1]
     if spread and wt.shape != o.shape:
-        ws = np.empty_like(o)
+        _, ws = coordinate_views(shape)
         np.copyto(ws, wt)
         wt = ws
-    term = np.empty_like(o)
+    _, term = coordinate_views(shape)
     for j in range(n):
         t = term if j else o
         if spread:

@@ -112,6 +112,11 @@ MUTANTS = [
     # table1 turns c and (neg b) (+) (neg a) by one stacked gyration.
     ("shared-gyration-slices-swapped",
      "gc, gs = m.gyr(", "gs, gc = m.gyr(", KILLED),
+    # The buffer pool behind planar_empty: a buffer that one array still
+    # references counts as idle, so a later result overwrites it.
+    ("pool-hands-out-live-buffer",
+     "self.idle_refs = _refcount(self.held, 0)", "self.idle_refs = _refcount(self.held, 0) + 1",
+     KILLED),
 ]
 
 
