@@ -5,14 +5,13 @@ single point of shape ``(n,)`` and a batch of shape ``(N, n)``.
 
 The arrays the kernels return, and their block-sized scratch, come from
 planar_empty, which reuses the memory of arrays that nothing references
-any more (see _Pool).  A kernel writes every entry of such an array before
+any more (see _POOL).  A kernel writes every entry of such an array before
 it reads it, so the reuse moves no bit of any result.
 """
 
 import math
 import sys
 import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -75,95 +74,66 @@ _POOL_FLOOR = 1 << 16
 _POOL_CAP = 6 * 8 * BLOCK_ELEMENTS
 
 
-def _refcount(held, key):
-    """The reference count of ``held[key]``.  The pool reads every count
-    here, its calibration included, so that each count carries the same
-    references of this function's own."""
-    return sys.getrefcount(held[key])
+def _refcount(held, i):
+    """The reference count of ``held[i]``.  The pool reads every count here,
+    so that each carries the same references of this function's own."""
+    return sys.getrefcount(held[i])
 
 
-class _Pool:
-    """The float64 buffers that planar_empty has handed out on one thread,
-    held so that it can hand them out again once they are idle.
+# The count of a buffer that only a list references: read, not fixed, as
+# interpreters differ in the references they borrow.
+_IDLE_REFS = _refcount([np.empty(0)], 0)
+
+
+class _Pool(threading.local):
+    """The float64 buffers that planar_empty has handed out, held so that it
+    can hand them out again once they are idle.  As a threading.local, it
+    shows each thread its own list ``held``, least recently handed out first.
 
     A buffer is idle when nothing but the pool references it.  Every numpy
     view holds its base array, so a buffer is idle exactly when its
-    reference count is the one the pool itself gives it, ``idle_refs``,
-    whether it was handed out as it is or as a view.  That count is read
-    once, on a buffer that only the pool holds, rather than fixed, as
-    interpreters differ in the references they borrow.
-
-    ``held`` maps id(buffer) to buffer, least recently handed out first,
-    and ``shapes`` maps a shape to the ids of the held buffers of that
-    shape, in the same order.  A request scans only the buffers of its
-    shape, most recently handed out first, as those are the likeliest to
-    be in cache.  The held buffers total at most _POOL_CAP bytes: a new
-    buffer first evicts idle ones, least recently handed out first, and is
-    not held if it still does not fit.  What is evicted or never held is
-    freed as numpy frees any array.
+    reference count is _IDLE_REFS, whether it was handed out as it is or as
+    a view.  A request takes the most recently handed out idle buffer of
+    its shape, as that is the likeliest to be in cache.  The held buffers
+    total at most _POOL_CAP bytes: a new buffer no larger than that first
+    evicts idle ones, least recently handed out first, and is not held if
+    it still does not fit.  What is evicted or never held is freed as numpy
+    frees any array.
     """
 
     def __init__(self):
-        self.held = OrderedDict()
-        self.shapes = {}
-        self.nbytes = 0
-        self.held[0] = np.empty(0)
-        self.idle_refs = _refcount(self.held, 0)
-        self.held.clear()
+        self.held = []
 
     def take(self, shape):
         """A C-ordered float64 array of ``shape`` that nothing else
         references, idle or new."""
-        held, keys = self.held, self.shapes.get(shape, ())
-        for i in range(len(keys) - 1, -1, -1):
-            if _refcount(held, keys[i]) == self.idle_refs:
-                key = keys.pop(i)
-                keys.append(key)
-                held.move_to_end(key)
-                return held[key]
-        buf = np.empty(shape)
-        if buf.nbytes <= _POOL_CAP:
-            self._evict(self.nbytes + buf.nbytes - _POOL_CAP)
-        if self.nbytes + buf.nbytes <= _POOL_CAP:
-            held[id(buf)] = buf
-            self.shapes.setdefault(shape, []).append(id(buf))
-            self.nbytes += buf.nbytes
+        held = self.held
+        for i in range(len(held) - 1, -1, -1):
+            if held[i].shape == shape and _refcount(held, i) == _IDLE_REFS:
+                held.append(held.pop(i))
+                return held[-1]
+        buf, i = np.empty(shape), 0
+        excess = sum(b.nbytes for b in held) + buf.nbytes - _POOL_CAP
+        while excess > 0 and buf.nbytes <= _POOL_CAP and i < len(held):
+            if _refcount(held, i) == _IDLE_REFS:
+                excess -= held.pop(i).nbytes
+            else:
+                i += 1
+        if excess <= 0:
+            held.append(buf)
         return buf
 
-    def _evict(self, nbytes):
-        """Stop holding idle buffers of at least ``nbytes`` bytes in all,
-        least recently handed out first, or every idle buffer if they hold
-        fewer."""
-        for key in list(self.held):
-            if nbytes <= 0:
-                return
-            if _refcount(self.held, key) == self.idle_refs:
-                buf = self.held.pop(key)
-                keys = self.shapes[buf.shape]
-                keys.remove(key)
-                if not keys:
-                    del self.shapes[buf.shape]
-                self.nbytes -= buf.nbytes
-                nbytes -= buf.nbytes
 
-
-class _Threads(threading.local):
-    """Each thread's own pool, made on the thread's first request."""
-
-    def __init__(self):
-        self.pool = _Pool()
-
-
-_THREADS = _Threads()
+_POOL = _Pool()
 
 
 def planar_empty(shape):
     """A new float array of ``shape`` (..., n), coordinate-major below
     SHORT_AXIS, so that each plane out[..., j] is contiguous, and in C order
     from it on.  Its entries are arbitrary: from _POOL_FLOOR bytes on it
-    comes from this thread's pool (_Pool) and may hold the values of an
+    comes from this thread's pool (_POOL) and may hold the values of an
     array dropped before."""
-    new = np.empty if 8 * math.prod(shape) < _POOL_FLOOR else _THREADS.pool.take
+    new = np.empty if 8 * math.prod(shape) < _POOL_FLOOR else _POOL.take
     if shape[-1] >= SHORT_AXIS:
         return new(shape)
     return new(shape[-1:] + shape[:-1]).transpose(TO_BACK[len(shape)])

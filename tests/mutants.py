@@ -115,8 +115,11 @@ MUTANTS = [
     # The buffer pool behind planar_empty: a buffer that one array still
     # references counts as idle, so a later result overwrites it.
     ("pool-hands-out-live-buffer",
-     "self.idle_refs = _refcount(self.held, 0)", "self.idle_refs = _refcount(self.held, 0) + 1",
+     "_IDLE_REFS = _refcount([np.empty(0)], 0)", "_IDLE_REFS = _refcount([np.empty(0)], 0) + 1",
      KILLED),
+    # The pool holds a new buffer that does not fit under its cap.
+    ("pool-holds-past-its-cap",
+     "if excess <= 0:", "if True:", KILLED),
 ]
 
 

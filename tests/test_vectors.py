@@ -89,7 +89,7 @@ def test_pool_hands_out_no_memory_that_an_array_still_references(monkeypatch, di
     # A kept result, and a transposed or sliced view of it once the result
     # itself is dropped, hold their pool buffer: later results of the same
     # shape get other memory.  Once nothing references it, it is reused.
-    monkeypatch.setattr(vectors._THREADS, "pool", vectors._Pool())
+    monkeypatch.setattr(vectors, "_POOL", vectors._Pool())
     u, v = (sample_ball_points(dim, rows, make_rng(k)) for k in (1, 2))
     kept = mobius_add(u, v)
     # All twelve results below fit in the pool, so each is held.
@@ -111,24 +111,56 @@ def test_pool_holds_at_most_its_cap_and_evicts_the_least_recent_idle_buffer():
     pool = vectors._Pool()
     quarter = (vectors._POOL_CAP // 32,)  # a quarter of the cap in float64
     first = [pool.take(quarter) for _ in range(4)]
-    assert pool.nbytes == vectors._POOL_CAP
+    assert sum(b.nbytes for b in pool.held) == vectors._POOL_CAP
     ids = [id(b) for b in first]
-    del first[3], first[1]
+    # With the cap reached and no buffer idle, a new buffer is not held.
+    extra = pool.take(quarter)
+    assert [id(b) for b in pool.held] == ids and id(extra) not in ids
+    del first[3], first[1], extra
+    # A request gets the most recently handed out idle buffer of its shape,
+    # and that buffer becomes the most recently handed out.
+    again = [pool.take(quarter) for _ in range(2)]
+    assert [id(b) for b in again] == [ids[3], ids[1]]
+    assert [id(b) for b in pool.held] == [ids[0], ids[2], ids[3], ids[1]]
+    del again
     # A new shape evicts one idle buffer, the least recently handed out.
     other = pool.take((2, quarter[0] // 2))
-    assert id(other) in pool.held and ids[1] not in pool.held and ids[3] in pool.held
+    assert [id(b) for b in pool.held] == [ids[0], ids[2], ids[1], id(other)]
     # More than the cap is never held and evicts nothing.
     big = pool.take((vectors._POOL_CAP // 8 + 1,))
-    assert id(big) not in pool.held and ids[3] in pool.held
+    assert [id(b) for b in pool.held] == [ids[0], ids[2], ids[1], id(other)]
+    del big
     rng = make_rng(3)
     kept = []
     for _ in range(200):
         buf = pool.take((int(rng.integers(1, 9)) * 2**13,))
         if rng.random() < 0.3:
             kept.append(buf)
-        assert pool.nbytes == sum(b.nbytes for b in pool.held.values()) <= vectors._POOL_CAP
-        assert sorted(pool.held) == sorted(k for ks in pool.shapes.values() for k in ks)
-        assert all(pool.shapes.values())
+        assert sum(b.nbytes for b in pool.held) <= vectors._POOL_CAP
+        assert len({id(b) for b in pool.held}) == len(pool.held)
+
+
+def test_a_thread_never_takes_a_buffer_that_another_thread_released(monkeypatch):
+    # Thread A (this one) holds a buffer it released.  Thread B starts with
+    # an empty pool, and its request of the same shape gets a new buffer,
+    # while the same request on A gets A's.
+    monkeypatch.setattr(vectors, "_POOL", vectors._Pool())
+    shape = (vectors._POOL_CAP // 32,)
+    released = id(vectors._POOL.take(shape))
+    seen = {}
+
+    def work():
+        seen["held"] = list(vectors._POOL.held)
+        seen["taken"] = id(vectors._POOL.take(shape))
+        seen["held after"] = [id(b) for b in vectors._POOL.held]
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert seen["held"] == [] and seen["held after"] == [seen["taken"]]
+    assert seen["taken"] != released
+    assert id(vectors._POOL.take(shape)) == released
 
 
 def test_threads_running_suites_at_once_give_the_serial_reports():
@@ -173,7 +205,7 @@ def test_no_kernel_reads_a_pool_buffer_before_writing_it(monkeypatch, model, dim
 
     def poisoned(self, shape):
         nonlocal reused
-        held = set(self.held)
+        held = {id(b) for b in self.held}
         buf = take(self, shape)
         reused += id(buf) in held
         buf.fill(np.nan)
