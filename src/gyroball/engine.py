@@ -89,12 +89,17 @@ class Counterexample:
 @dataclass
 class PropertyResult:
     name: str
-    status: str  # "pass" | "fail" | "skipped"
     checked: int
     failed: int
     skipped: int
     failures: list
     note: str
+
+    @property
+    def status(self):  # "pass" | "fail" | "skipped"
+        if self.checked == 0 and self.skipped > 0:
+            return "skipped"
+        return "fail" if self.failed else "pass"
 
     def to_dict(self):
         out = {
@@ -153,10 +158,7 @@ def _all_coordinates(mask):
 
 
 def _serialize(value):
-    arr = np.asarray(value)
-    if arr.ndim == 0:
-        return float(arr)
-    return [float(x) for x in arr]
+    return np.asarray(value, dtype=float).tolist()
 
 
 class _SuiteRun:
@@ -199,7 +201,7 @@ class _SuiteRun:
     def _record(self, name, inputs, lhs, rhs, mode, note):
         """Add the rows of a check to the property's result, found by name
         and made on first use.  They are numbered after the rows the result
-        already holds, so the blocks of a probe check merge into one result."""
+        already holds, so the parts recorded under one name merge into one result."""
         cfg = self.cfg
         lhs = np.asarray(lhs, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
@@ -250,7 +252,7 @@ class _SuiteRun:
             n = finite.size
             skipped_rows = n - int(np.count_nonzero(finite))
         if all(r.name != name for r in self.results):
-            self.results.append(PropertyResult(name, "pass", 0, 0, 0, [], note))
+            self.results.append(PropertyResult(name, 0, 0, 0, [], note))
         res = next(r for r in self.results if r.name == name)
         first = res.checked + res.skipped
 
@@ -269,14 +271,10 @@ class _SuiteRun:
         res.checked += int(n - skipped_rows)
         res.failed += len(fail_idx)
         res.skipped += skipped_rows
-        if res.checked == 0 and res.skipped > 0:
-            res.status = "skipped"
-        else:
-            res.status = "fail" if res.failed else "pass"
         self.skipped += skipped_rows
 
     def skip_property(self, name, note):
-        self.results.append(PropertyResult(name, "skipped", 0, 0, self.cfg.samples, [], note))
+        self.results.append(PropertyResult(name, 0, 0, self.cfg.samples, [], note))
 
     def equivalence_verdict(self):
         """Suite-level consistency of the two universally quantified
@@ -289,8 +287,8 @@ class _SuiteRun:
             f"{second.name}: {second.status} ({second.failed} violations)"
         )
         self.results.append(PropertyResult(
-            "equivalence-consistency", "pass" if consistent else "fail",
-            min(first.checked, second.checked), 0 if consistent else 1, 0, [], note))
+            "equivalence-consistency", min(first.checked, second.checked),
+            0 if consistent else 1, 0, [], note))
 
 
 # --- suites ------------------------------------------------------------------
@@ -356,14 +354,13 @@ def suite_gyronorm(run):
     a, b = run.draw(cfg.samples), run.draw(cfg.samples)
     nx = norm(x)
     run.less_equal("positivity-nonnegative", {"x": x}, np.zeros(cfg.samples), nx)
-    # Both directions of "zero exactly at the identity": the identity itself
-    # (prepended row) plus the floor direction on sampled points.
-    xe = np.vstack([m.identity[None, :], x])
-    nxe = norm(xe)
-    # 0 * nxe keeps a non-finite norm a non-finite (skipped) row.
-    run.equal("positivity-zero-iff-identity", {"x": xe},
-              np.where(nxe < POSITIVITY_FLOOR, euclidean_norm(xe), 0.0 * nxe),
-              np.zeros(cfg.samples + 1))
+    # Both directions of "zero exactly at the identity", as two parts of one
+    # property: the identity itself, then the floor direction on the samples.
+    e = m.identity[None, :]
+    run.equal("positivity-zero-iff-identity", {"x": e}, norm(e), np.zeros(1))
+    # 0 * nx keeps a non-finite norm a non-finite (skipped) row.
+    run.equal("positivity-zero-iff-identity", {"x": x},
+              np.where(nx < POSITIVITY_FLOOR, euclidean_norm(x), 0.0 * nx), np.zeros(cfg.samples))
     run.equal("inverse-invariance", {"x": x}, norm(m.neg(x)), nx)
     run.less_equal("subadditivity", {"x": x, "y": y},
                    norm(m.add(x, y)), nx + norm(y))
@@ -376,14 +373,11 @@ def suite_metric(run):
     x, y, z = run.draw(cfg.samples), run.draw(cfg.samples), run.draw(cfg.samples)
     dxy = d(x, y)
     run.less_equal("nonnegativity", {"x": x, "y": y}, np.zeros(cfg.samples), dxy)
-    pair_x = np.vstack([x, x])
-    pair_y = np.vstack([x, y])
-    lhs = np.concatenate([
-        d(x, x),
-        np.where(dxy < POSITIVITY_FLOOR, euclidean_norm(x - y), 0.0 * dxy),
-    ])
-    run.equal("identity-of-indiscernibles", {"x": pair_x, "y": pair_y},
-              lhs, np.zeros(2 * cfg.samples))
+    # d(x, x) = 0, then the floor direction, as two parts of one property.
+    run.equal("identity-of-indiscernibles", {"x": x, "y": x}, d(x, x), np.zeros(cfg.samples))
+    run.equal("identity-of-indiscernibles", {"x": x, "y": y},
+              np.where(dxy < POSITIVITY_FLOOR, euclidean_norm(x - y), 0.0 * dxy),
+              np.zeros(cfg.samples))
     run.equal("symmetry", {"x": x, "y": y}, dxy, d(y, x))
     run.less_equal("triangle-inequality", {"x": x, "y": y, "z": z},
                    d(x, z), dxy + d(y, z))

@@ -177,7 +177,7 @@ def gyronorm_names(model_name):
     return tuple(g for m, g in GYRONORMS if m == model_name)
 
 
-def resolve_gyronorm(model_name, gyronorm=None):
+def resolve_gyronorm(model_name, gyronorm):
     """``gyronorm`` if the model registers it, the model's default when None."""
     names = gyronorm_names(model_name)
     name = gyronorm or DEFAULT_GYRONORM[model_name]

@@ -28,13 +28,16 @@ KILLED = "killed"
 
 MUTANTS = [
     ("one-failing-row-passes",
-     'res.status = "fail" if res.failed else "pass"',
-     'res.status = "fail" if res.failed > 1 else "pass"', KILLED),
+     'return "fail" if self.failed else "pass"',
+     'return "fail" if self.failed > 1 else "pass"', KILLED),
     ("equivalence-always-consistent",
      "consistent = (first.failed > 0) == (second.failed > 0)",
      "consistent = True", KILLED),
     ("skip-gate-at-50-percent",
      "MAX_SKIP_FRACTION = 0.01", "MAX_SKIP_FRACTION = 0.5", KILLED),
+    # The identity's own row of "norm zero iff identity", made vacuous.
+    ("identity-row-unchecked",
+     '{"x": e}, norm(e), np.zeros(1))', '{"x": e}, 0.0 * norm(e), np.zeros(1))', KILLED),
     ("positivity-floor-1e-17",
      "POSITIVITY_FLOOR = 1e-7", "POSITIVITY_FLOOR = 1e-17", KILLED),
     ("subadditivity-bound-doubled",

@@ -169,6 +169,15 @@ def test_dist_unknown_gyronorm_exits_2(capsys):
     assert code == 2 and "rapidity" in err
 
 
+def test_dist_bad_points_are_reported_before_an_unknown_gyronorm(capsys):
+    code, out, err = run_cli(capsys, "dist", "--model", "mobius", "--gyronorm", "poincare",
+                             "--u", "0,0", "--v", "0.999999999999,0")
+    assert (code, out) == (3, "") and "boundary guard" in err
+    code, out, err = run_cli(capsys, "dist", "--model", "mobius", "--gyronorm", "poincare",
+                             "--u", "0,0,0", "--v", "0.1")
+    assert (code, out, err) == (2, "", "error: points have mismatched dimensions: [1, 3]\n")
+
+
 def test_dist_overflow_exits_2(capsys):
     code, out, err = run_cli_no_warnings(capsys, "dist", "--model", "group",
                                          "--u", "1e308,0", "--v", "-1e308,0")

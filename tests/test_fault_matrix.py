@@ -85,11 +85,13 @@ def test_fault_flips_the_verdicts_of_known_suites(monkeypatch, fault):
 # the fault flips under that gyronorm.  The faults above leave every norm
 # exact; these break what only a norm can: r * 1e-8 sinks below
 # POSITIVITY_FLOOR, r ** 1.1 breaks subadditivity and the triangle
-# inequality, and 1.5 r leaves the tanh(eps) balls of the topology suite.
+# inequality, 1.5 r leaves the tanh(eps) balls of the topology suite, and
+# 0.5 at r = 0 gives the identity, and d(x, x), a nonzero norm.
 NORM_FAULTS = {
     "shrunk-rapidity-norm": (lambda r: 1e-8 * r, {"gyronorm", "metric", "topology"}),
     "superlinear-rapidity-norm": (lambda r: r ** 1.1, {"gyronorm", "metric", "topology"}),
     "stretched-rapidity-norm": (lambda r: 1.5 * r, {"topology"}),
+    "rapidity-norm-nonzero-at-identity": (lambda r: r + 0.5 * (r == 0.0), {"gyronorm", "metric"}),
 }
 
 
