@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 property failure, 2 usage/parse/lookup error, a
 non-finite result or out of memory, 3 boundary error, 4 sampling-health
 failure.  Structured reports go to standard output; diagnostics go to
-standard error.
+standard error.  Each call registers every command, but adds arguments only
+to the one that argv names.
 """
 
 import argparse
@@ -188,55 +189,64 @@ def _cmd_check(args):
     return 0 if report.passed else 1
 
 
-def build_parser():
+def _model_args(p, *points):
+    """--model, --dim, then one required option per point."""
+    p.add_argument("--model", required=True, choices=MODEL_NAMES)
+    p.add_argument("--dim", type=int, default=None)
+    for flag in points:
+        p.add_argument(flag, required=True)
+
+
+def _dist_args(p):
+    _model_args(p)
+    p.add_argument("--gyronorm", default=None)
+    p.add_argument("--u", required=True)
+    p.add_argument("--v", required=True)
+
+
+def _convert_args(p):
+    p.add_argument("--from", dest="src", required=True, choices=MODEL_NAMES)
+    p.add_argument("--to", dest="dst", required=True, choices=MODEL_NAMES)
+    p.add_argument("point")
+
+
+def _check_args(p):
+    _model_args(p)
+    p.add_argument("--suite", required=True)
+    p.add_argument("--gyronorm", default=None)
+    p.add_argument("--samples", type=int, default=CheckConfig.samples)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--tol-abs", type=float, default=CheckConfig.atol)
+    p.add_argument("--tol-rel", type=float, default=CheckConfig.rtol)
+    p.add_argument("--output", choices=("structured", "text"), default="structured")
+
+
+# The commands, in usage order: name -> (help, handler, argument filler).
+_COMMANDS = {
+    "add": ("gyroaddition of two points", _cmd_add, lambda p: _model_args(p, "--u", "--v")),
+    "gyr": ("apply the gyration gyr[a,b] to c", _cmd_gyr,
+            lambda p: _model_args(p, "--a", "--b", "--c")),
+    "dist": ("distance between two points", _cmd_dist, _dist_args),
+    "convert": ("convert a point between models", _cmd_convert, _convert_args),
+    "check": ("run a property suite", _cmd_check, _check_args),
+}
+
+
+def build_parser(command=None):
+    """The parser of every command.  Each command is registered with its name
+    and help, so root usage, help and errors name all of them; the arguments
+    and handler are added to ``command``'s subparser only, or to every
+    subparser when ``command`` is None."""
     parser = argparse.ArgumentParser(
         prog="gyroball",
         description="Gyrogroup algebra on the unit ball: compute, convert, and verify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--model", required=True, choices=MODEL_NAMES)
-        p.add_argument("--dim", type=int, default=None)
-
-    p_add = sub.add_parser("add", help="gyroaddition of two points")
-    add_common(p_add)
-    p_add.add_argument("--u", required=True)
-    p_add.add_argument("--v", required=True)
-    p_add.set_defaults(func=_cmd_add)
-
-    p_gyr = sub.add_parser("gyr", help="apply the gyration gyr[a,b] to c")
-    add_common(p_gyr)
-    p_gyr.add_argument("--a", required=True)
-    p_gyr.add_argument("--b", required=True)
-    p_gyr.add_argument("--c", required=True)
-    p_gyr.set_defaults(func=_cmd_gyr)
-
-    p_dist = sub.add_parser("dist", help="distance between two points")
-    add_common(p_dist)
-    p_dist.add_argument("--gyronorm", default=None)
-    p_dist.add_argument("--u", required=True)
-    p_dist.add_argument("--v", required=True)
-    p_dist.set_defaults(func=_cmd_dist)
-
-    p_conv = sub.add_parser("convert", help="convert a point between models")
-    p_conv.add_argument("--from", dest="src", required=True, choices=MODEL_NAMES)
-    p_conv.add_argument("--to", dest="dst", required=True, choices=MODEL_NAMES)
-    p_conv.add_argument("point")
-    p_conv.set_defaults(func=_cmd_convert)
-
-    p_check = sub.add_parser("check", help="run a property suite")
-    add_common(p_check)
-    p_check.add_argument("--suite", required=True)
-    p_check.add_argument("--gyronorm", default=None)
-    p_check.add_argument("--samples", type=int, default=CheckConfig.samples)
-    p_check.add_argument("--seed", type=int, default=None)
-    p_check.add_argument("--tol-abs", type=float, default=CheckConfig.atol)
-    p_check.add_argument("--tol-rel", type=float, default=CheckConfig.rtol)
-    p_check.add_argument("--output", choices=("structured", "text"),
-                         default="structured")
-    p_check.set_defaults(func=_cmd_check)
-
+    for name, (text, func, fill) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command in (None, name):
+            fill(p)
+            p.set_defaults(func=func)
     return parser
 
 
@@ -269,9 +279,12 @@ def _merge_point_flags(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # The root parser takes no option with a value, so the first command
+    # name in argv is the one argparse dispatches to.
+    argv = _merge_point_flags(argv)
+    parser = build_parser(next((tok for tok in argv if tok in _COMMANDS), None))
     try:
-        args = parser.parse_args(_merge_point_flags(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,18 +1,19 @@
-"""Hash the report of every registered (model, suite) pair over a grid of
-dims, tolerances and seeds, so that two source trees can be compared report
-by report:
+"""Hash the report of every registered (model, gyronorm, suite) triple over
+a grid of dims, tolerances and seeds, so that two source trees can be
+compared report by report:
 
     python tests/report_grid.py SRC OUT
 
 SRC is a ``src/`` directory that holds ``gyroball``.  OUT gets one line per
-run, ``model suite dim tolerance seed sha256``, at SAMPLES samples with both
-tolerances set to ``tolerance``.  The hash is that of the report's JSON; for
-a run that raises a SamplingHealthError, of its report's JSON after a
-marker line; for a run that is rejected (``topology`` on a model without
+run, ``model gyronorm suite dim tolerance seed sha256``, at SAMPLES samples
+with both tolerances set to ``tolerance``.  The hash is that of the report's
+JSON; for a run that raises a SamplingHealthError, of its report's JSON after
+a marker line; for a run that is rejected (``topology`` on a model without
 both of its gyronorms), of the error's class and message.  Two trees give
-the same reports when their OUT files are equal (``cmp``).  The ball models
-and the group run at every dim in DIMS, the complex disk at dim 2.
-Standard library and numpy only; pytest does not collect this file.
+the same reports when their OUT files are equal (``cmp``).  Each model runs
+with every gyronorm it registers; the ball models and the group run at every
+dim in DIMS, the complex disk at dim 2.  Standard library and numpy only;
+pytest does not collect this file.
 """
 
 import hashlib
@@ -29,23 +30,24 @@ def main(src, out):
     sys.path.insert(0, str(Path(src).resolve()))
     from gyroball import MODEL_NAMES, SUITE_NAMES, CheckConfig, run_suite
     from gyroball.errors import GyroError, SamplingHealthError
-    from gyroball.registry import COMPLEX_MODELS
+    from gyroball.registry import COMPLEX_MODELS, gyronorm_names
 
     lines = []
-    for model in MODEL_NAMES:
-        for dim in (2,) if model in COMPLEX_MODELS else DIMS:
-            for suite in SUITE_NAMES:
-                for tol in TOLERANCES:
-                    for seed in SEEDS:
-                        cfg = CheckConfig(samples=SAMPLES, seed=seed, atol=tol, rtol=tol)
-                        try:
-                            text = run_suite(model, suite, cfg, dim=dim).to_json()
-                        except SamplingHealthError as exc:
-                            text = "sampling-health\n" + exc.report.to_json()
-                        except GyroError as exc:
-                            text = f"{type(exc).__name__}: {exc}"
-                        digest = hashlib.sha256(text.encode()).hexdigest()
-                        lines.append(f"{model} {suite} {dim} {tol!r} {seed} {digest}\n")
+    runs = ((model, gyronorm, dim, suite, tol, seed)
+            for model in MODEL_NAMES
+            for gyronorm in gyronorm_names(model)
+            for dim in ((2,) if model in COMPLEX_MODELS else DIMS)
+            for suite in SUITE_NAMES for tol in TOLERANCES for seed in SEEDS)
+    for model, gyronorm, dim, suite, tol, seed in runs:
+        cfg = CheckConfig(samples=SAMPLES, seed=seed, atol=tol, rtol=tol)
+        try:
+            text = run_suite(model, suite, cfg, dim=dim, gyronorm=gyronorm).to_json()
+        except SamplingHealthError as exc:
+            text = "sampling-health\n" + exc.report.to_json()
+        except GyroError as exc:
+            text = f"{type(exc).__name__}: {exc}"
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        lines.append(f"{model} {gyronorm} {suite} {dim} {tol!r} {seed} {digest}\n")
     Path(out).write_text("".join(lines))
     return 0
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 import gyroball
-from gyroball import phi, phi_inv
-from gyroball.cli import format_point, main, parse_point
+from gyroball import cli, phi, phi_inv
+from gyroball.cli import build_parser, format_point, main, parse_point
 
 
 def run_cli(capsys, *argv):
@@ -351,6 +352,59 @@ def test_check_text_output_prints_notes(capsys):
 
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
+
+
+# --- the parser: every command named, arguments for the one argv names -------
+
+COMMANDS = ["add", "gyr", "dist", "convert", "check"]
+ROOT_USAGE = "usage: gyroball [-h] {add,gyr,dist,convert,check} ...\n"
+POINTS = ["--model", "mobius", "--u", "0.1,0", "--v", "0.2,0"]
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_build_parser_registers_every_command(command):
+    sub = next(a for a in build_parser(command)._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == COMMANDS
+    for name, p in sub.choices.items():
+        # Only the command given, or every one, gets its arguments.
+        assert (len(p._actions) > 1) == (command in (None, name))
+
+
+# argv, exit code, the stream that holds the text and how the text starts;
+# None where Python versions differ (how argparse reads a leading "--").
+PARSER_SHAPED = {
+    "empty": ([], 2, "err", ROOT_USAGE),
+    "help": (["-h"], 0, "out", ROOT_USAGE),
+    "help-before-command": (["-h", "add"], 0, "out", ROOT_USAGE),
+    "unknown-command": (["bogus"], 2, "err", ROOT_USAGE),
+    "unknown-before-command": (["bogus", "add"], 2, "err", ROOT_USAGE),
+    "command-help": (["add", "-h"], 0, "out", "usage: gyroball add [-h] --model"),
+    "unknown-option-after": (["add", *POINTS, "--bogus"], 2, "err",
+                             ROOT_USAGE + "gyroball: error: unrecognized arguments: --bogus\n"),
+    "unknown-option-before": (["--bogus", "add", *POINTS], 2, "err",
+                              ROOT_USAGE + "gyroball: error: unrecognized arguments: --bogus\n"),
+    "double-dash-first": (["--", "add", *POINTS], None, None, None),
+    "command-as-value": (["dist", "--model", "add", "--u", "0,0", "--v", "0,0"], 2, "err",
+                         "usage: gyroball dist [-h] --model"),
+    "trailing-command": (["add", *POINTS, "gyr"], 2, "err",
+                         ROOT_USAGE + "gyroball: error: unrecognized arguments: gyr\n"),
+}
+
+
+@pytest.mark.parametrize("argv,code,stream,text", PARSER_SHAPED.values(), ids=PARSER_SHAPED)
+def test_outcome_does_not_depend_on_which_arguments_are_built(capsys, monkeypatch, argv,
+                                                               code, stream, text):
+    # main adds arguments to the command argv names only; with every
+    # command's arguments built, the exit code and both streams are the same.
+    monkeypatch.setenv("COLUMNS", "100")
+    outcome = run_cli(capsys, *argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert run_cli(capsys, *argv) == outcome
+    if code is not None:
+        assert outcome[0] == code
+        assert outcome[1 if stream == "out" else 2].startswith(text)
 
 
 # --- rejected inputs: exit 2 and a message, never a traceback ---------------
