@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 property failure, 2 usage/parse/lookup error, a
 non-finite result or out of memory, 3 boundary error, 4 sampling-health
 failure.  Structured reports go to standard output; diagnostics go to
-standard error.  Each call registers every command, but adds arguments only
-to the one that argv names.
+standard error.  Each call registers every command, and argparse's dispatch
+to one of them adds that command's arguments only.
 """
 
 import argparse
@@ -189,64 +189,59 @@ def _cmd_check(args):
     return 0 if report.passed else 1
 
 
-def _model_args(p, *points):
-    """--model, --dim, then one required option per point."""
-    p.add_argument("--model", required=True, choices=MODEL_NAMES)
-    p.add_argument("--dim", type=int, default=None)
-    for flag in points:
-        p.add_argument(flag, required=True)
+# Each option's add_argument keywords.
+_OPTIONS = {
+    "--model": dict(required=True, choices=MODEL_NAMES),
+    "--dim": dict(type=int),
+    **{flag: dict(required=True) for flag in ("--u", "--v", "--a", "--b", "--c", "--suite")},
+    "--gyronorm": {},
+    "--from": dict(dest="src", required=True, choices=MODEL_NAMES),
+    "--to": dict(dest="dst", required=True, choices=MODEL_NAMES),
+    "point": {},
+    "--samples": dict(type=int, default=CheckConfig.samples),
+    "--seed": dict(type=int),
+    "--tol-abs": dict(type=float, default=CheckConfig.atol),
+    "--tol-rel": dict(type=float, default=CheckConfig.rtol),
+    "--output": dict(choices=("structured", "text"), default="structured"),
+}
 
-
-def _dist_args(p):
-    _model_args(p)
-    p.add_argument("--gyronorm", default=None)
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-
-
-def _convert_args(p):
-    p.add_argument("--from", dest="src", required=True, choices=MODEL_NAMES)
-    p.add_argument("--to", dest="dst", required=True, choices=MODEL_NAMES)
-    p.add_argument("point")
-
-
-def _check_args(p):
-    _model_args(p)
-    p.add_argument("--suite", required=True)
-    p.add_argument("--gyronorm", default=None)
-    p.add_argument("--samples", type=int, default=CheckConfig.samples)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol-abs", type=float, default=CheckConfig.atol)
-    p.add_argument("--tol-rel", type=float, default=CheckConfig.rtol)
-    p.add_argument("--output", choices=("structured", "text"), default="structured")
-
-
-# The commands, in usage order: name -> (help, handler, argument filler).
+# The commands, in usage order: name -> (help, handler, its _OPTIONS in
+# usage order).
 _COMMANDS = {
-    "add": ("gyroaddition of two points", _cmd_add, lambda p: _model_args(p, "--u", "--v")),
-    "gyr": ("apply the gyration gyr[a,b] to c", _cmd_gyr,
-            lambda p: _model_args(p, "--a", "--b", "--c")),
-    "dist": ("distance between two points", _cmd_dist, _dist_args),
-    "convert": ("convert a point between models", _cmd_convert, _convert_args),
-    "check": ("run a property suite", _cmd_check, _check_args),
+    "add": ("gyroaddition of two points", _cmd_add, "--model --dim --u --v"),
+    "gyr": ("apply the gyration gyr[a,b] to c", _cmd_gyr, "--model --dim --a --b --c"),
+    "dist": ("distance between two points", _cmd_dist, "--model --dim --gyronorm --u --v"),
+    "convert": ("convert a point between models", _cmd_convert, "--from --to point"),
+    "check": ("run a property suite", _cmd_check,
+              "--model --dim --suite --gyronorm --samples --seed --tol-abs --tol-rel --output"),
 }
 
 
-def build_parser(command=None):
-    """The parser of every command.  Each command is registered with its name
-    and help, so root usage, help and errors name all of them; the arguments
-    and handler are added to ``command``'s subparser only, or to every
-    subparser when ``command`` is None."""
+class _CommandParser(argparse.ArgumentParser):
+    """A command's subparser.  Its ``pending`` arguments are added when
+    argparse first dispatches to it, so a call builds only the command it
+    runs, and a parser reused for another call adds none twice."""
+
+    def parse_known_args(self, *args, **kwargs):
+        for name in self.pending:
+            self.add_argument(name, **_OPTIONS[name])
+        self.pending = ()
+        return super().parse_known_args(*args, **kwargs)
+
+
+def build_parser():
+    """The parser of every command.  Each command is registered with its
+    name, help and handler, so root usage, help and errors name all of them;
+    its arguments are added when argparse dispatches to it."""
     parser = argparse.ArgumentParser(
         prog="gyroball",
         description="Gyrogroup algebra on the unit ball: compute, convert, and verify.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, func, fill) in _COMMANDS.items():
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, (text, func, names) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        if command in (None, name):
-            fill(p)
-            p.set_defaults(func=func)
+        p.pending = names.split()
+        p.set_defaults(func=func)
     return parser
 
 
@@ -279,12 +274,8 @@ def _merge_point_flags(argv):
 
 
 def main(argv=None) -> int:
-    # The root parser takes no option with a value, so the first command
-    # name in argv is the one argparse dispatches to.
-    argv = _merge_point_flags(argv)
-    parser = build_parser(next((tok for tok in argv if tok in _COMMANDS), None))
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_merge_point_flags(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

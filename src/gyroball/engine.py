@@ -397,11 +397,9 @@ def suite_isometry(run):
     x, y = run.draw(cfg.samples), run.draw(cfg.samples)
     tau_x = m.gyr(a0, b0, x)
     tau_y = m.gyr(a0, b0, y)
-    A = np.broadcast_to(a0, x.shape)
-    B = np.broadcast_to(b0, x.shape)
-    run.equal("gyration-norm-preservation", {"a": A, "b": B, "x": x},
+    run.equal("gyration-norm-preservation", {"a": a0[None], "b": b0[None], "x": x},
               norm(tau_x), norm(x))
-    run.equal("gyration-distance-preservation", {"a": A, "b": B, "x": x, "y": y},
+    run.equal("gyration-distance-preservation", {"a": a0[None], "b": b0[None], "x": x, "y": y},
               d(tau_x, tau_y), d(x, y))
 
 

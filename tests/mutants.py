@@ -1,6 +1,6 @@
-"""Mutation check of the property engine, the input guard and the kernels:
-does the test suite notice when a check is weakened or a kernel's bits
-move?
+"""Mutation check of the property engine, the input guard, the kernels and
+the CLI parser: does the test suite notice when a check is weakened or a
+kernel's bits move?
 
     python tests/mutants.py
 
@@ -124,6 +124,10 @@ MUTANTS = [
     # The pool holds a new buffer that does not fit under its cap.
     ("pool-holds-past-its-cap",
      "if excess <= 0:", "if True:", KILLED),
+    # A command's arguments are added when argparse first dispatches to it;
+    # a parser reused for a second call of that command must not add them again.
+    ("command-filled-twice",
+     "self.pending = ()", "pass", KILLED),
 ]
 
 

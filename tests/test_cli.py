@@ -360,15 +360,65 @@ COMMANDS = ["add", "gyr", "dist", "convert", "check"]
 ROOT_USAGE = "usage: gyroball [-h] {add,gyr,dist,convert,check} ...\n"
 POINTS = ["--model", "mobius", "--u", "0.1,0", "--v", "0.2,0"]
 
+# One argv per command that parses, and the command's arguments in usage order.
+PARSED = {
+    "add": ["add", *POINTS],
+    "gyr": ["gyr", "--model", "group", "--a", "0.1,0", "--b", "0,0.2", "--c", "0.3,0"],
+    "dist": ["dist", "--gyronorm", "rapidity", *POINTS],
+    "convert": ["convert", "--from", "mobius", "--to", "einstein", "0.1,0"],
+    "check": ["check", "--model", "group", "--suite", "axioms", "--samples", "50"],
+}
+ARGUMENTS = {
+    "add": ["--model", "--dim", "--u", "--v"],
+    "gyr": ["--model", "--dim", "--a", "--b", "--c"],
+    "dist": ["--model", "--dim", "--gyronorm", "--u", "--v"],
+    "convert": ["--from", "--to", "point"],
+    "check": ["--model", "--dim", "--suite", "--gyronorm", "--samples", "--seed",
+              "--tol-abs", "--tol-rel", "--output"],
+}
 
-@pytest.mark.parametrize("command", [None, *COMMANDS])
+
+def subparsers(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def arguments(parser):
+    return [a.option_strings[-1] if a.option_strings else a.dest for a in parser._actions]
+
+
+def filled_parser():
+    """A parser with every command's arguments added before parsing."""
+    parser = build_parser()
+    for name, p in subparsers(parser).items():
+        for arg in ARGUMENTS[name]:
+            p.add_argument(arg, **cli._OPTIONS[arg])
+        p.pending = ()
+    return parser
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_build_parser_registers_every_command(command):
-    sub = next(a for a in build_parser(command)._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert list(sub.choices) == COMMANDS
-    for name, p in sub.choices.items():
-        # Only the command given, or every one, gets its arguments.
-        assert (len(p._actions) > 1) == (command in (None, name))
+    # Every command is registered; parsing adds the arguments of the one
+    # argparse dispatches to, and the other four keep only -h.
+    parser = build_parser()
+    parser.parse_args(PARSED[command])
+    commands = subparsers(parser)
+    assert list(commands) == COMMANDS
+    for name, p in commands.items():
+        assert arguments(p) == ["--help"] + (ARGUMENTS[name] if name == command else [])
+
+
+def test_a_reused_parser_gives_the_outcomes_of_fresh_ones(capsys, monkeypatch):
+    # Two calls of one command, then one of each other command, then help,
+    # through one parser: each command's arguments are added once.
+    monkeypatch.setenv("COLUMNS", "100")
+    argvs = [PARSED["add"], ["add", "--model", "einstein", "--u=-0.3,0", "--v", "0.2,0.1"],
+             *(PARSED[name] for name in COMMANDS[1:]), ["add", "-h"], ["check", "-h"]]
+    fresh = [run_cli(capsys, *argv) for argv in argvs]
+    parser = build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    assert [run_cli(capsys, *argv) for argv in argvs] == fresh
 
 
 # argv, exit code, the stream that holds the text and how the text starts;
@@ -380,6 +430,10 @@ PARSER_SHAPED = {
     "unknown-command": (["bogus"], 2, "err", ROOT_USAGE),
     "unknown-before-command": (["bogus", "add"], 2, "err", ROOT_USAGE),
     "command-help": (["add", "-h"], 0, "out", "usage: gyroball add [-h] --model"),
+    "gyr-help": (["gyr", "-h"], 0, "out", "usage: gyroball gyr [-h] --model"),
+    "dist-help": (["dist", "-h"], 0, "out", "usage: gyroball dist [-h] --model"),
+    "convert-help": (["convert", "-h"], 0, "out", "usage: gyroball convert [-h] --from"),
+    "check-help": (["check", "-h"], 0, "out", "usage: gyroball check [-h] --model"),
     "unknown-option-after": (["add", *POINTS, "--bogus"], 2, "err",
                              ROOT_USAGE + "gyroball: error: unrecognized arguments: --bogus\n"),
     "unknown-option-before": (["--bogus", "add", *POINTS], 2, "err",
@@ -395,12 +449,12 @@ PARSER_SHAPED = {
 @pytest.mark.parametrize("argv,code,stream,text", PARSER_SHAPED.values(), ids=PARSER_SHAPED)
 def test_outcome_does_not_depend_on_which_arguments_are_built(capsys, monkeypatch, argv,
                                                                code, stream, text):
-    # main adds arguments to the command argv names only; with every
-    # command's arguments built, the exit code and both streams are the same.
+    # argparse's dispatch adds the arguments of one command only; with every
+    # command's arguments added before parsing, the exit code and both
+    # streams are the same.
     monkeypatch.setenv("COLUMNS", "100")
     outcome = run_cli(capsys, *argv)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    monkeypatch.setattr(cli, "build_parser", filled_parser)
     assert run_cli(capsys, *argv) == outcome
     if code is not None:
         assert outcome[0] == code
