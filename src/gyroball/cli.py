@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 property failure, 2 usage/parse/lookup error, a
 non-finite result or out of memory, 3 boundary error, 4 sampling-health
 failure.  Structured reports go to standard output; diagnostics go to
-standard error.  Each call registers every command, and argparse's dispatch
-to one of them adds that command's arguments only.
+standard error.  Each call registers every command by name and help, and
+builds only the command that argparse dispatches to.
 """
 
 import argparse
@@ -217,31 +217,37 @@ _COMMANDS = {
 }
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A command's subparser.  Its ``pending`` arguments are added when
-    argparse first dispatches to it, so a call builds only the command it
-    runs, and a parser reused for another call adds none twice."""
+class _Commands(argparse._SubParsersAction):
+    """The commands' subparsers action.  A command is registered by name and
+    help alone, with None in place of its parser; argparse's dispatch to it
+    builds its parser, arguments and handler there, once per root parser."""
 
-    def parse_known_args(self, *args, **kwargs):
-        for name in self.pending:
-            self.add_argument(name, **_OPTIONS[name])
-        self.pending = ()
-        return super().parse_known_args(*args, **kwargs)
+    def add_parser(self, name, help):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = None
+
+    def __call__(self, parser, namespace, values, *args):
+        name = values[0]
+        if self._name_parser_map[name] is None:
+            command = self._name_parser_map[name] = self._parser_class(
+                prog=f"{self._prog_prefix} {name}")
+            for option in _COMMANDS[name][2].split():
+                command.add_argument(option, **_OPTIONS[option])
+            command.set_defaults(func=_COMMANDS[name][1])
+        super().__call__(parser, namespace, values, *args)
 
 
 def build_parser():
-    """The parser of every command.  Each command is registered with its
-    name, help and handler, so root usage, help and errors name all of them;
-    its arguments are added when argparse dispatches to it."""
+    """The root parser.  Every command is registered with its name and help,
+    so root usage, help and errors name all of them; only the command
+    argparse dispatches to is built."""
     parser = argparse.ArgumentParser(
         prog="gyroball",
         description="Gyrogroup algebra on the unit ball: compute, convert, and verify.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    for name, (text, func, names) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        p.pending = names.split()
-        p.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True, action=_Commands)
+    for name, (text, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=text)
     return parser
 
 

@@ -124,10 +124,15 @@ MUTANTS = [
     # The pool holds a new buffer that does not fit under its cap.
     ("pool-holds-past-its-cap",
      "if excess <= 0:", "if True:", KILLED),
-    # A command's arguments are added when argparse first dispatches to it;
-    # a parser reused for a second call of that command must not add them again.
-    ("command-filled-twice",
-     "self.pending = ()", "pass", KILLED),
+    # A command is built when argparse first dispatches to it; a parser
+    # reused for a second call of that command must not build it again.
+    ("command-built-on-every-dispatch",
+     "if self._name_parser_map[name] is None:", "if True:", KILLED),
+    # The built command takes its placeholder's place: deleted and re-added,
+    # it moves to the end of the choices, and so of root usage.
+    ("command-moved-to-end-of-choices",
+     "command = self._name_parser_map[name] =",
+     "del self._name_parser_map[name]; command = self._name_parser_map[name] =", KILLED),
 ]
 
 

@@ -354,7 +354,7 @@ def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
 
 
-# --- the parser: every command named, arguments for the one argv names -------
+# --- the parser: every command named, only the dispatched one built ---------
 
 COMMANDS = ["add", "gyr", "dist", "convert", "check"]
 ROOT_USAGE = "usage: gyroball [-h] {add,gyr,dist,convert,check} ...\n"
@@ -387,31 +387,64 @@ def arguments(parser):
     return [a.option_strings[-1] if a.option_strings else a.dest for a in parser._actions]
 
 
-def filled_parser():
-    """A parser with every command's arguments added before parsing."""
-    parser = build_parser()
-    for name, p in subparsers(parser).items():
+def eager_parser():
+    """A reference parser, built by stock argparse with every command's
+    arguments added before parsing."""
+    root = build_parser()
+    parser = argparse.ArgumentParser(prog=root.prog, description=root.description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, func, _) in cli._COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         for arg in ARGUMENTS[name]:
             p.add_argument(arg, **cli._OPTIONS[arg])
-        p.pending = ()
+        p.set_defaults(func=func)
     return parser
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_build_parser_registers_every_command(command):
-    # Every command is registered; parsing adds the arguments of the one
-    # argparse dispatches to, and the other four keep only -h.
+    # Every command is registered, and none is built; parsing builds the one
+    # argparse dispatches to, with its arguments in usage order, and the
+    # other four stay unbuilt.
     parser = build_parser()
+    assert list(subparsers(parser).items()) == [(name, None) for name in COMMANDS]
     parser.parse_args(PARSED[command])
     commands = subparsers(parser)
     assert list(commands) == COMMANDS
     for name, p in commands.items():
-        assert arguments(p) == ["--help"] + (ARGUMENTS[name] if name == command else [])
+        if name == command:
+            assert arguments(p) == ["--help"] + ARGUMENTS[name]
+        else:
+            assert p is None
+
+
+def test_a_call_builds_the_root_parser_and_the_dispatched_command_only(capsys, monkeypatch):
+    # build_parser() builds one parser, a call two (root and its command),
+    # and a reused parser builds a command once.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    parser = build_parser()
+    assert built == ["gyroball"]
+    built.clear()
+    assert run_cli(capsys, *PARSED["add"])[0] == 0
+    assert built == ["gyroball", "gyroball add"]
+    built.clear()
+    for argv in (PARSED["add"], PARSED["add"], PARSED["dist"]):
+        parser.parse_args(argv)
+    with pytest.raises(SystemExit):
+        parser.parse_args(["add", "-h"])
+    assert built == ["gyroball add", "gyroball dist"]
 
 
 def test_a_reused_parser_gives_the_outcomes_of_fresh_ones(capsys, monkeypatch):
     # Two calls of one command, then one of each other command, then help,
-    # through one parser: each command's arguments are added once.
+    # through one parser: each command is built once.
     monkeypatch.setenv("COLUMNS", "100")
     argvs = [PARSED["add"], ["add", "--model", "einstein", "--u=-0.3,0", "--v", "0.2,0.1"],
              *(PARSED[name] for name in COMMANDS[1:]), ["add", "-h"], ["check", "-h"]]
@@ -421,8 +454,7 @@ def test_a_reused_parser_gives_the_outcomes_of_fresh_ones(capsys, monkeypatch):
     assert [run_cli(capsys, *argv) for argv in argvs] == fresh
 
 
-# argv, exit code, the stream that holds the text and how the text starts;
-# None where Python versions differ (how argparse reads a leading "--").
+# argv, exit code, the stream that holds the text and how the text starts.
 PARSER_SHAPED = {
     "empty": ([], 2, "err", ROOT_USAGE),
     "help": (["-h"], 0, "out", ROOT_USAGE),
@@ -438,7 +470,9 @@ PARSER_SHAPED = {
                              ROOT_USAGE + "gyroball: error: unrecognized arguments: --bogus\n"),
     "unknown-option-before": (["--bogus", "add", *POINTS], 2, "err",
                               ROOT_USAGE + "gyroball: error: unrecognized arguments: --bogus\n"),
-    "double-dash-first": (["--", "add", *POINTS], None, None, None),
+    # argparse reads a leading "--" as the command name (Python 3.10 to 3.13).
+    "double-dash-first": (["--", "add", *POINTS], 2, "err",
+                          ROOT_USAGE + "gyroball: error: argument command: invalid choice: '--'"),
     "command-as-value": (["dist", "--model", "add", "--u", "0,0", "--v", "0,0"], 2, "err",
                          "usage: gyroball dist [-h] --model"),
     "trailing-command": (["add", *POINTS, "gyr"], 2, "err",
@@ -449,16 +483,15 @@ PARSER_SHAPED = {
 @pytest.mark.parametrize("argv,code,stream,text", PARSER_SHAPED.values(), ids=PARSER_SHAPED)
 def test_outcome_does_not_depend_on_which_arguments_are_built(capsys, monkeypatch, argv,
                                                                code, stream, text):
-    # argparse's dispatch adds the arguments of one command only; with every
-    # command's arguments added before parsing, the exit code and both
-    # streams are the same.
+    # argparse's dispatch builds one command only; with stock argparse and
+    # every command built before parsing, the exit code and both streams
+    # are the same.
     monkeypatch.setenv("COLUMNS", "100")
     outcome = run_cli(capsys, *argv)
-    monkeypatch.setattr(cli, "build_parser", filled_parser)
+    monkeypatch.setattr(cli, "build_parser", eager_parser)
     assert run_cli(capsys, *argv) == outcome
-    if code is not None:
-        assert outcome[0] == code
-        assert outcome[1 if stream == "out" else 2].startswith(text)
+    assert outcome[0] == code
+    assert outcome[1 if stream == "out" else 2].startswith(text)
 
 
 # --- rejected inputs: exit 2 and a message, never a traceback ---------------
