@@ -51,12 +51,11 @@ def cmobius_add(a, b):
 
 
 def cmobius_gyr_factor(a, b):
-    """Unimodular rotation factor (1 + a conj(b)) / (1 + conj(a) b).  The
-    numerator is the conjugate of the denominator, and negating its
-    imaginary plane gives the bits of 1 + conj(b) a: fl(p - q) = -fl(q - p),
-    and 0.0 - 0.0 is +0.0 as the sum's ``+= 0.0`` makes it."""
-    d = _one_plus_conj_times(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    return _quotient((d[0], 0.0 - d[1]), d)
+    """Unimodular rotation factor (1 + a conj(b)) / (1 + conj(a) b), its
+    numerator computed as 1 + conj(b) a."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return _quotient(_one_plus_conj_times(b, a), _one_plus_conj_times(a, b))
 
 
 def rotation_gyr(a, b, w):

@@ -149,14 +149,6 @@ class CheckReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _all_coordinates(mask):
-    # mask.all(axis=-1) column by column, several times faster on a short axis.
-    out = mask[..., 0]
-    for j in range(1, mask.shape[-1]):
-        out = out & mask[..., j]
-    return out
-
-
 def _serialize(value):
     return np.asarray(value, dtype=float).tolist()
 
@@ -213,12 +205,8 @@ class _SuiteRun:
         by_row = len(shape) > len(lead)
 
         def row(v, at):
-            # The row at index ``at`` of v broadcast against the leading axes;
-            # an array that has those axes already is indexed in place.
-            v = np.asarray(v)
-            if v.shape[:len(lead)] != lead:
-                v = np.broadcast_to(v, lead + v.shape[len(lead):])
-            return v[at]
+            # The row at index ``at`` of v broadcast against the leading axes.
+            return np.broadcast_to(v, lead + v.shape[len(lead):])[at]
 
         with np.errstate(over="ignore", invalid="ignore"):
             err = lhs - rhs
@@ -246,7 +234,7 @@ class _SuiteRun:
                 bound += cfg.atol
                 ok = err <= bound
             if by_row:
-                finite, ok = _all_coordinates(finite), _all_coordinates(ok)
+                finite, ok = finite.all(axis=-1), ok.all(axis=-1)
             finite, ok = finite.reshape(-1), ok.reshape(-1)
             fail_idx = np.flatnonzero(finite & ~ok)
             n = finite.size

@@ -16,21 +16,9 @@ from .vectors import SHORT_AXIS, coordinate_views, dot, euclidean_norm
 
 def _rim_terms(u, v):
     """|u + v|^2, pu = 1 - |u|^2 and pv = 1 - |v|^2 over the shared trailing
-    axis, each a sum of nonnegative terms near the rim.  Below SHORT_AXIS
-    |u + v|^2 is summed plane by plane, with the bits of ``dot(u + v, u + v)``
-    but no u + v array of the broadcast shape."""
-    n = u.shape[-1]
-    if n >= SHORT_AXIS:
-        s = u + v
-        ssq = dot(s, s)
-    else:
-        ssq = u[..., 0] + v[..., 0]
-        ssq *= ssq
-        for j in range(1, n):
-            s = u[..., j] + v[..., j]
-            s *= s
-            ssq += s
-    return ssq, 1.0 - dot(u, u), 1.0 - dot(v, v)
+    axis, each a sum of nonnegative terms near the rim."""
+    s = u + v
+    return dot(s, s), 1.0 - dot(u, u), 1.0 - dot(v, v)
 
 
 def mobius_add(u, v):

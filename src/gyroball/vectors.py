@@ -25,13 +25,13 @@ BOUNDARY_GUARD = 1e-12
 # covers all formulas; rim behavior gets dedicated directed tests.
 SAMPLE_RADIUS_CAP = 0.95
 
-# Trailing axes shorter than this are summed coordinate by coordinate (dot,
-# mobius._rim_terms) and rotated by per-pair n x n operators built and
-# applied entry by entry with elementwise ufuncs, no BLAS (mobius_gyr); from
-# about 8 on, O(n) work on the whole trailing axis wins.  Below it, point
-# batches are stored coordinate-major (planar_empty), so every plane those
-# passes read or write is contiguous; from it on they stay in C order, as
-# einsum's summation order there depends on the layout.
+# Trailing axes shorter than this are summed coordinate by coordinate (dot)
+# and rotated by per-pair n x n operators built and applied entry by entry
+# with elementwise ufuncs, no BLAS (mobius_gyr); from about 8 on, O(n) work
+# on the whole trailing axis wins.  Below it, point batches are stored
+# coordinate-major (planar_empty), so every plane those passes read or write
+# is contiguous; from it on they stay in C order, as einsum's summation order
+# there depends on the layout.
 SHORT_AXIS = 8
 
 # Values a and b agree when |a - b| <= DEFAULT_ATOL + DEFAULT_RTOL * max(|a|, |b|)

@@ -86,7 +86,8 @@ MUTANTS = [
     ("disk-quotient-by-reciprocal",
      "re /= den", "re *= 1.0 / den", KILLED),
     ("disk-factor-numerator-unconjugated",
-     "0.0 - d[1]", "d[1]", KILLED),
+     "_one_plus_conj_times(b, a), _one_plus_conj_times(a, b)",
+     "_one_plus_conj_times(a, b), _one_plus_conj_times(a, b)", KILLED),
     # The kernels' coordinate-first views, each operand padded to the
     # output's number of axes, so that a point broadcasts against a batch.
     ("views-left-unpadded",
@@ -97,7 +98,7 @@ MUTANTS = [
     ("mobius-add-cancelling-denominator",
      "o /= ssq + pu * pv", "o /= 1.0 + 2.0 * dot(u, v) + dot(u, u) * dot(v, v)", KILLED),
     ("sum-square-expanded",
-     "return ssq, 1.0 - dot(u, u), 1.0 - dot(v, v)",
+     "return dot(s, s), 1.0 - dot(u, u), 1.0 - dot(v, v)",
      "return dot(u, u) + 2.0 * dot(u, v) + dot(v, v), 1.0 - dot(u, u), 1.0 - dot(v, v)",
      KILLED),
     # The Mobius gyration: elementwise operator entries below SHORT_AXIS,

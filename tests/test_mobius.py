@@ -23,7 +23,7 @@ from gyroball import (
     run_suite,
     sample_ball_points,
 )
-from gyroball.disk import _one_plus_conj_times, _quotient, rotation_gyr
+from gyroball.disk import rotation_gyr
 from gyroball.einstein import einstein_gyr
 from gyroball.mobius import mobius_gyr
 from gyroball.vectors import SHORT_AXIS, dot
@@ -501,16 +501,9 @@ def test_disk_kernels_equal_their_stacked_forms(dtypes):
             _assert_same_bits(rotation_gyr(a, b, w), _rotation_gyr_expression(a, b, w))
 
 
-def _two_product_factor(a, b):
-    """The rotation factor with its numerator 1 + a conj(b) computed as a
-    product of its own, not as the conjugate of the denominator."""
-    return _quotient(_one_plus_conj_times(b, a), _one_plus_conj_times(a, b))
-
-
 def test_disk_factor_numerator_keeps_the_bits_of_its_own_product():
-    # The numerator is the denominator with its imaginary plane negated:
-    # fl(p - q) = -fl(q - p), and 0.0 - (+0.0) is +0.0 as the product's
-    # 0.0 + im gives, so signed zeros and tiny products keep their bits.
+    # The numerator 1 + a conj(b) is a product of its own, so signed zeros
+    # and tiny products keep the bits of the stacked complex expression.
     values = [0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 0.5, 0.7071, -0.9]
     grid = np.array(np.meshgrid(values, values)).reshape(2, -1).T
     a, b = np.repeat(grid, len(grid), axis=0), np.tile(grid, (len(grid), 1))
@@ -518,8 +511,8 @@ def test_disk_factor_numerator_keeps_the_bits_of_its_own_product():
     u, v, w = (sample_ball_points(2, 64, rng) for _ in range(3))
     for a, b, w in ((a, b, b[::-1]), (u[:, None], v[:, None], w[None, :32]),
                     (u[:, None], w[None, :32], v[:, None])):
-        _assert_same_bits(cmobius_gyr_factor(a, b), _two_product_factor(a, b))
-        _assert_same_bits(rotation_gyr(a, b, w), _cmul(_two_product_factor(a, b), w))
+        _assert_same_bits(cmobius_gyr_factor(a, b), _cmobius_gyr_factor_expression(a, b))
+        _assert_same_bits(rotation_gyr(a, b, w), _rotation_gyr_expression(a, b, w))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 64])
