@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 property failure, 2 usage/parse/lookup error, a
 non-finite result or out of memory, 3 boundary error, 4 sampling-health
 failure.  Structured reports go to standard output; diagnostics go to
-standard error.  Each call registers every command by name and help, and
-builds only the command that argparse dispatches to.
+standard error.  Each call registers every command by name and help;
+argparse's dispatch to a command builds its parser once per process.
 """
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -217,10 +218,20 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _command_parser(prog, name):
+    """Command ``name``'s parser, built once per process for every root."""
+    command = argparse.ArgumentParser(prog=prog)
+    for option in _COMMANDS[name][2].split():
+        command.add_argument(option, **_OPTIONS[option])
+    command.set_defaults(func=_COMMANDS[name][1])
+    return command
+
+
 class _Commands(argparse._SubParsersAction):
     """The commands' subparsers action.  A command is registered by name and
     help alone, with None in place of its parser; argparse's dispatch to it
-    builds its parser, arguments and handler there, once per root parser."""
+    puts the command's parser, from ``_command_parser``, in that place."""
 
     def add_parser(self, name, help):
         self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
@@ -228,19 +239,13 @@ class _Commands(argparse._SubParsersAction):
 
     def __call__(self, parser, namespace, values, *args):
         name = values[0]
-        if self._name_parser_map[name] is None:
-            command = self._name_parser_map[name] = self._parser_class(
-                prog=f"{self._prog_prefix} {name}")
-            for option in _COMMANDS[name][2].split():
-                command.add_argument(option, **_OPTIONS[option])
-            command.set_defaults(func=_COMMANDS[name][1])
+        self._name_parser_map[name] = _command_parser(f"{self._prog_prefix} {name}", name)
         super().__call__(parser, namespace, values, *args)
 
 
 def build_parser():
-    """The root parser.  Every command is registered with its name and help,
-    so root usage, help and errors name all of them; only the command
-    argparse dispatches to is built."""
+    """A fresh root parser.  Every command is registered with its name and
+    help, so root usage, help and errors name all of them; none is built."""
     parser = argparse.ArgumentParser(
         prog="gyroball",
         description="Gyrogroup algebra on the unit ball: compute, convert, and verify.",

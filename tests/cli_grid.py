@@ -7,7 +7,11 @@ SRC is a ``src/`` directory that holds ``gyroball``.  OUT gets one line per
 call, ``argv sha256``: the argv, shell-quoted, and the hash of the call's
 exit code, standard output and standard error, with ``COLUMNS=100`` so that
 help and usage wrap the same everywhere.  Two trees give the same outcomes
-when their OUT files are equal (``cmp``).  The calls:
+when their OUT files are equal (``cmp``).  After writing OUT, the script
+replays the calls in reverse order in the same process, and exits 1, naming
+the first argv, if any outcome differs from its first run, as it would if
+a call depended on what earlier calls in the process left behind.  The
+calls:
 
 - parser-shaped argvs (help, unknown commands and options, a leading
   "--", a command name as a value) and each command's ``-h``;
@@ -101,19 +105,27 @@ def argvs():
     return calls + [CHECK + ["structured"], CHECK + ["text"]]
 
 
+def outcome(cli, argv):
+    """The sha256 of one call's exit code, standard output and standard error."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(list(argv))
+    return hashlib.sha256(f"{code}\n{stdout.getvalue()}\n{stderr.getvalue()}".encode()).hexdigest()
+
+
 def main(src, out):
     sys.path.insert(0, str(Path(src).resolve()))
     os.environ["COLUMNS"] = "100"
     from gyroball import cli
 
-    lines = []
-    for argv in argvs():
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(list(argv))
-        outcome = f"{code}\n{stdout.getvalue()}\n{stderr.getvalue()}"
-        lines.append(f"{shlex.join(argv)} {hashlib.sha256(outcome.encode()).hexdigest()}\n")
-    Path(out).write_text("".join(lines))
+    calls = argvs()
+    hashes = [outcome(cli, argv) for argv in calls]
+    Path(out).write_text("".join(f"{shlex.join(a)} {h}\n" for a, h in zip(calls, hashes)))
+    for argv, expected in reversed(list(zip(calls, hashes))):
+        if outcome(cli, argv) != expected:
+            print(f"replayed in reverse, {shlex.join(argv)} has another outcome",
+                  file=sys.stderr)
+            return 1
     return 0
 
 

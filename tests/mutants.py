@@ -125,15 +125,16 @@ MUTANTS = [
     # The pool holds a new buffer that does not fit under its cap.
     ("pool-holds-past-its-cap",
      "if excess <= 0:", "if True:", KILLED),
-    # A command is built when argparse first dispatches to it; a parser
-    # reused for a second call of that command must not build it again.
+    # A command's parser is built the first time argparse dispatches to it
+    # in a process; with the cache removed (a cache of size 0), every
+    # dispatch builds it again.
     ("command-built-on-every-dispatch",
-     "if self._name_parser_map[name] is None:", "if True:", KILLED),
-    # The built command takes its placeholder's place: deleted and re-added,
-    # it moves to the end of the choices, and so of root usage.
+     "@functools.cache", "@functools.lru_cache(maxsize=0)", KILLED),
+    # The command's parser takes its placeholder's place: deleted and
+    # re-added, it moves to the end of the choices, and so of root usage.
     ("command-moved-to-end-of-choices",
-     "command = self._name_parser_map[name] =",
-     "del self._name_parser_map[name]; command = self._name_parser_map[name] =", KILLED),
+     "self._name_parser_map[name] = _command_parser(",
+     "del self._name_parser_map[name]; self._name_parser_map[name] = _command_parser(", KILLED),
 ]
 
 

@@ -419,8 +419,9 @@ def test_build_parser_registers_every_command(command):
 
 
 def test_a_call_builds_the_root_parser_and_the_dispatched_command_only(capsys, monkeypatch):
-    # build_parser() builds one parser, a call two (root and its command),
-    # and a reused parser builds a command once.
+    # Each call builds the root parser; a command's parser is built on the
+    # first call that dispatches to it in the process and reused after.
+    cli._command_parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -429,17 +430,15 @@ def test_a_call_builds_the_root_parser_and_the_dispatched_command_only(capsys, m
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    parser = build_parser()
+    for argv, parsers in ((PARSED["add"], ["gyroball", "gyroball add"]),
+                          (PARSED["add"], ["gyroball"]),
+                          (PARSED["dist"], ["gyroball", "gyroball dist"])):
+        built.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert built == parsers
+    built.clear()
+    build_parser().parse_args(PARSED["add"])
     assert built == ["gyroball"]
-    built.clear()
-    assert run_cli(capsys, *PARSED["add"])[0] == 0
-    assert built == ["gyroball", "gyroball add"]
-    built.clear()
-    for argv in (PARSED["add"], PARSED["add"], PARSED["dist"]):
-        parser.parse_args(argv)
-    with pytest.raises(SystemExit):
-        parser.parse_args(["add", "-h"])
-    assert built == ["gyroball add", "gyroball dist"]
 
 
 def test_a_reused_parser_gives_the_outcomes_of_fresh_ones(capsys, monkeypatch):
@@ -492,6 +491,29 @@ def test_outcome_does_not_depend_on_which_arguments_are_built(capsys, monkeypatc
     assert run_cli(capsys, *argv) == outcome
     assert outcome[0] == code
     assert outcome[1 if stream == "out" else 2].startswith(text)
+
+
+def test_outcomes_do_not_depend_on_which_commands_the_process_built(capsys, monkeypatch):
+    # Every parser-shaped and parsing argv, forward and then reversed with
+    # every command's parser already built in this process: each outcome is
+    # that of stock argparse with every command built afresh.
+    monkeypatch.setenv("COLUMNS", "100")
+    argvs = [argv for argv, *_ in PARSER_SHAPED.values()] + list(PARSED.values())
+    argvs += argvs[::-1]
+    cached = [run_cli(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(cli, "build_parser", eager_parser)
+    assert cached == [run_cli(capsys, *argv) for argv in argvs]
+    # Help wraps to COLUMNS when it is printed, not when its parser was built.
+    helps = []
+    for columns in ("100", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        outcomes = []
+        for parser in (build_parser, eager_parser):
+            monkeypatch.setattr(cli, "build_parser", parser)
+            outcomes.append(run_cli(capsys, "add", "-h"))
+        assert outcomes[0] == outcomes[1]
+        helps.append(outcomes[0])
+    assert helps[0] != helps[1]
 
 
 # --- rejected inputs: exit 2 and a message, never a traceback ---------------
